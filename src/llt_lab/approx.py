@@ -26,9 +26,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .exact import SumLawTable, residues_mod, sum_law, sup_cdf_distance
-from .lattice import LatticePmf, char_fn, maximal_span, moments
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
+from .lattice import SQRT_2PI, LatticePmf, char_fn, maximal_span, moments
 
 
 @dataclass(frozen=True)
@@ -86,12 +84,10 @@ def delta_from_table(law: SumLawTable) -> tuple[float, float]:
     if B2 is None or B2 <= 0:
         raise DegenerateLawError("delta_n needs positive variance")
     B = math.sqrt(B2)
-    lo = law.offset
-    hi = law.offset + len(law.probs) - 1
-    k = np.arange(lo - 1, hi + 2)
-    x = law.n * law.v0 + law.D * k
+    k = np.arange(law.offset - 1, law.offset + len(law.dense) + 1)
+    x = law.points(k)
     probs = np.zeros(len(k))
-    probs[1:-1] = law.probs
+    probs[1:-1] = law.dense
     gauss = (law.D / SQRT_2PI) * np.exp(-((x - M) ** 2) / (2.0 * B2))
     dev = np.abs(B * probs - gauss)
     i = int(np.argmax(dev))
@@ -127,9 +123,9 @@ def measure_lltber_constant(n_max: int = 4096, n_min: int = 16) -> float:
     n = n_min
     while n <= n_max:
         law = sum_law(p, n)
-        k = law.offset + np.arange(len(law.probs))
+        k = law.offset + np.arange(len(law.dense))
         gauss = math.sqrt(2.0 / (math.pi * n)) * np.exp(-((2 * k - n) ** 2) / (2.0 * n))
-        err = float(np.max(np.abs(law.probs - gauss)))
+        err = float(np.max(np.abs(law.dense - gauss)))
         worst = max(worst, err * n ** 1.5)
         n *= 2
     return worst
@@ -211,14 +207,13 @@ def edgeworth3_sup_error(p: LatticePmf, n: int, with_correction: bool = True) ->
     law = sum_law(p, n)
     mom = moments(p)
     sigma = math.sqrt(mom.sigma2)
-    k = law.offset + np.arange(len(law.probs))
-    x = law.n * law.v0 + law.D * k
+    x = law.points(law.offset + np.arange(len(law.dense)))
     y = (x - n * mom.mu) / (sigma * math.sqrt(n))
     phi = np.exp(-0.5 * y * y) / SQRT_2PI
     corr = 1.0 + (y ** 3 - 3.0 * y) * mom.mu3 / (6.0 * sigma ** 3 * math.sqrt(n)) \
         if with_correction else 1.0
     approx = (p.D / (sigma * math.sqrt(n))) * phi * corr
-    return float(np.max(np.abs(law.probs - approx)))
+    return float(np.max(np.abs(law.dense - approx)))
 
 
 # -- summed variation distance ----------------------------------------------------
@@ -242,12 +237,10 @@ def variation_distance(law: SumLawTable, A: Optional[float] = None,
     if not B > 0:
         raise PreconditionError("scale B must be positive")
     pad = int(math.ceil(tail_sigmas * B / law.D)) + 2
-    lo = law.offset - pad
-    hi = law.offset + len(law.probs) - 1 + pad
-    k = np.arange(lo, hi + 1)
-    x = law.n * law.v0 + law.D * k
+    k = np.arange(law.offset - pad, law.offset + len(law.dense) + pad)
+    x = law.points(k)
     probs = np.zeros(len(k))
-    probs[pad:pad + len(law.probs)] = law.probs
+    probs[pad:pad + len(law.dense)] = law.dense
     gauss = (law.D / (B * SQRT_2PI)) * np.exp(-((x - A) ** 2) / (2.0 * B * B))
     return float(np.abs(probs - gauss).sum())
 
@@ -396,8 +389,8 @@ def stable_llt_error(p: LatticePmf, n: int, x_max: float = 60.0) -> ApproxReport
     law = sum_law(p, n, max_index=cap)
     correction = (1.0 - p.discarded_mass) ** n
     table = _density_table(params, x_max)
-    k = law.offset + np.arange(len(law.probs))
-    vals = bn * law.probs * correction
+    k = law.offset + np.arange(len(law.dense))
+    vals = bn * law.dense * correction
     g = table(k / bn)
     err = float(np.max(np.abs(vals - g)))
     flags = ()
@@ -428,8 +421,7 @@ def doney_ratio(p: LatticePmf, n: int, m: int, mu: Optional[float] = None,
     delta = p.discarded_mass
     num = law.prob(m) * (1.0 - delta) ** n
     j = m - round(n * mu)
-    i = j - p.offset
-    pj = p.dense[i] if 0 <= i < len(p.dense) else 0.0
+    pj = p.prob(j)
     den = n * pj * (1.0 - delta)
     if den == 0.0:
         raise PreconditionError(f"zero denominator: P(X = {j}) = 0")
@@ -454,7 +446,7 @@ def mukhin_criterion(p: LatticePmf, n: int, v: Optional[int] = None) -> float:
     if v is None:
         eps_n = sup_cdf_distance(law)
         v = max(1, math.floor(math.sqrt(eps_n) * bn))
-    probs = np.concatenate([np.zeros(v), law.probs, np.zeros(v)])
+    probs = np.concatenate([np.zeros(v), law.dense, np.zeros(v)])
     worst = 0.0
     for j in range(1, v + 1):
         d = float(np.max(np.abs(probs[j:] - probs[:-j])))
@@ -481,8 +473,7 @@ def gamkrelidze_lower_check(p: LatticePmf, n: int, k: int,
     Lambda_n = 2.01 (Delta_n + e^{-pi^2 B_n^2}/(2 sqrt(pi))); lhs <= rhs holds
     whenever the local approximation is any good.
     """
-    if p.v0 != 0.0 or p.D != 1.0:
-        raise PreconditionError("integer-valued form required (v0=0, D=1)")
+    p.integer_view()  # integer-valued laws only
     if k < 1:
         raise PreconditionError("k >= 1 required")
     mom = moments(p)
@@ -535,12 +526,9 @@ def aud_diagnostics(ps: LatticePmf | Sequence[LatticePmf], n: int, h: int) -> Re
     dw_acc = np.ones(h - 1)
     roz_acc = 1.0
     for j, pj in enumerate(seq):
-        if pj.v0 != 0.0 or pj.D != 1.0:
-            raise PreconditionError("integer-valued form required (v0=0, D=1)")
-        supp = pj.support
-        w = pj.dense[supp - pj.offset]
+        off, w = pj.integer_view()
         step = np.zeros(h)
-        np.add.at(step, supp % h, w)
+        np.add.at(step, np.arange(off, off + len(w)) % h, w)
         new = np.zeros(h)
         for r in range(h):
             if step[r]:

@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import PreconditionError
 from .exact import RunningConvolution, sum_law
-from .lattice import LatticePmf, moments
+from .lattice import SQRT_2PI, LatticePmf, adjacent_overlap, moments
 from .rng import stream
 
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 EULER_GAMMA = float(np.euler_gamma)
 
 
@@ -115,8 +114,7 @@ def asllt_target(p: LatticePmf, kappa: float) -> float:
 
 def _simulate_index_path(p: LatticePmf, N: int, rng) -> np.ndarray:
     """Cumulative sums of i.i.d. support indices (exact integer arithmetic)."""
-    supp = p.support
-    w = p.dense[supp - p.offset]
+    supp, w = p.atoms()
     w = w / w.sum()
     draws = rng.choice(supp, size=N, p=w)
     return np.cumsum(draws)
@@ -446,10 +444,10 @@ def dickman_strong_llt(n: int, rho: DickmanRho) -> float:
     if n < 2:
         raise PreconditionError("n >= 2 required")
     law = dickman_sum_law(n)
-    hi = max(law.offset + len(law.probs) - 1, int(math.ceil(n * rho.u_max)))
+    hi = max(law.offset + len(law.dense) - 1, int(math.ceil(n * rho.u_max)))
     kappa = np.arange(0, hi + 1)
     probs = np.zeros(len(kappa))
-    probs[law.offset: law.offset + len(law.probs)] = law.probs
+    probs[law.offset: law.offset + len(law.dense)] = law.dense
     limit = math.exp(-EULER_GAMMA) / n * rho(kappa / n)
     return float(np.abs(probs - limit).sum())
 
@@ -532,7 +530,7 @@ def covariance_check(p: LatticePmf, m: int, n: int, kappa: float = 0.0) -> Covar
     """
     if not 1 <= m < n:
         raise PreconditionError("need 1 <= m < n")
-    if theta_of(p) <= 0:
+    if adjacent_overlap(p) <= 0:
         raise PreconditionError("adjacent positive masses required")
     rule = KappaRule.for_pmf(p, kappa)
     jm = int(rule.index(m))
@@ -546,10 +544,3 @@ def covariance_check(p: LatticePmf, m: int, n: int, kappa: float = 0.0) -> Covar
     bracket = 1.0 / (math.sqrt(n / m) - 1.0) + math.sqrt(n) / (n - m) ** 1.5
     return CovarianceRecord(m=m, n=n, lhs=lhs, bracket=bracket,
                             sqrt_ratio=math.sqrt(m / n))
-
-
-def theta_of(p: LatticePmf) -> float:
-    w = p.dense
-    if len(w) == 1:
-        return 0.0
-    return float(np.minimum(w[:-1], w[1:]).sum())

@@ -19,10 +19,8 @@ from scipy.stats import binom
 
 from .errors import NoBernoulliComponentError, PreconditionError
 from .exact import SumLawTable, sum_law, sup_cdf_distance, weighted_sum_law
-from .lattice import LatticePmf, MomentSummary
+from .lattice import SQRT_2PI, LatticePmf, adjacent_overlap as theta_max
 from .rng import stream
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,6 @@ class Decomposition:
         tau = [[k, v] for k, v in sorted(self.tau.items()) if v > 0]
         joint = [[k, e, m] for (k, e), m in sorted(self.joint.items()) if m > 0]
         return json.dumps({"theta": self.theta, "tau": tau, "joint": joint})
-
-
-def theta_max(p: LatticePmf) -> float:
-    """Adjacent-overlap mass of p over its own lattice indices."""
-    w = p.dense
-    if len(w) == 1:
-        return 0.0
-    return float(np.minimum(w[:-1], w[1:]).sum())
 
 
 def decompose(p: LatticePmf, theta: Optional[float] = None) -> Decomposition:
@@ -154,9 +144,9 @@ def rho_exact_counts(thetas, h: float) -> float:
     """Exact tail of a Poisson-binomial count of eps hits (independent case)."""
     law = weighted_sum_law([1] * len(thetas), thetas)
     mu = float(np.sum(thetas))
-    k = law.offset + np.arange(len(law.probs))
+    k = law.offset + np.arange(len(law.dense))
     outside = np.abs(k - mu) > h * mu
-    return float(law.probs[outside].sum())
+    return float(law.dense[outside].sum())
 
 
 @dataclass(frozen=True)
@@ -247,14 +237,9 @@ def transfer_formula_check(a: float, b: float, y_law: SumLawTable,
     if a <= 0 or b < 0:
         raise PreconditionError("transfer formula needs a > 0, b >= 0")
     center = y_center if y_center is not None else (y_law.meta.mu or 0.0)
-    supp = y_law.support
+    supp, w = y_law.atoms()
     y = y_law.points(supp) - center
-    w = y_law.probs[supp - y_law.offset]
     lhs = abs(float(np.dot(w, np.exp(-a * (b - y) ** 2)))
               - math.exp(-b * b / (2.0 + 1.0 / a)) / math.sqrt(1.0 + 2.0 * a))
     rhs = 4.0 * sup_cdf_distance(y_law, center=center, scale=1.0)
     return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs}
-
-
-def decomposition_meta(decomp: Decomposition, n: int) -> MomentSummary:
-    return sum_law(decomp.source, n).meta

@@ -1,7 +1,8 @@
 """Structural characteristics of an integer-valued random variable.
 
-All operations expect the relabeled form (v0 = 0, D = 1); use
-``LatticePmf.relabel`` first for a general lattice.  The characteristics are
+All operations take an integer-valued law: span D = 1 and an integral
+origin v0, which ``integer_view`` folds into the index (use
+``LatticePmf.relabel`` first for a general lattice).  The characteristics are
 the unit-shift total variation delta, the adjacent-overlap mass theta, the
 nearest-integer quadratic characteristic of a scaled variable, its
 symmetrised variant, and the residue-class concentration.
@@ -18,16 +19,14 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import PreconditionError
-from .lattice import LatticePmf
+from .lattice import LatticePmf, LatticeWindow, adjacent_overlap
 
 
-def _require_integer_form(p: LatticePmf) -> None:
-    if p.v0 != 0.0 or p.D != 1.0:
-        raise PreconditionError("characteristic needs the relabeled form (v0=0, D=1)")
-
-
-def _dense(p: LatticePmf) -> tuple[int, np.ndarray]:
-    return p.offset, p.dense
+def _integer_atoms(p: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
+    """Integer support values and their masses."""
+    off, w = p.integer_view()
+    nz = np.flatnonzero(w > 0)
+    return off + nz, w[nz]
 
 
 @dataclass(frozen=True)
@@ -56,30 +55,22 @@ class CharacteristicsRecord:
 
 def delta_char(p: LatticePmf) -> float:
     """Unit-shift total variation sum_m |P{X=m} - P{X=m-1}|."""
-    _require_integer_form(p)
-    _, w = _dense(p)
+    _, w = p.integer_view()
     padded = np.concatenate(([0.0], w, [0.0]))
     return float(np.abs(np.diff(padded)).sum())
 
 
 def theta_char(p: LatticePmf) -> float:
     """Adjacent-overlap mass sum_m min(P{X=m}, P{X=m+1}); always < 1."""
-    _require_integer_form(p)
-    _, w = _dense(p)
-    if len(w) == 1:
-        return 0.0
-    return float(np.minimum(w[:-1], w[1:]).sum())
+    p.integer_view()
+    return adjacent_overlap(p)
 
 
 def symmetrized(p: LatticePmf) -> LatticePmf:
     """Law of X - X' for an independent copy X' (exact self-correlation)."""
-    _require_integer_form(p)
-    off, w = _dense(p)
+    _, w = p.integer_view()
     conv = np.convolve(w, w[::-1])
-    conv = conv / conv.sum()
-    lo = off - (off + len(w) - 1)
-    weights = {lo + i: float(m) for i, m in enumerate(conv) if m > 0}
-    return LatticePmf(0.0, 1.0, weights)
+    return LatticePmf._from_window(0.0, 1.0, 1 - len(w), conv / conv.sum())
 
 
 def _nearest_int_sq(x: np.ndarray) -> np.ndarray:
@@ -95,14 +86,11 @@ def mukhin_D(p: LatticePmf, d: float, grid_step: float = 1e-4,
     with kinks, so one period is scanned on a fixed grid and the best cell is
     refined by bounded golden-section search.
     """
-    _require_integer_form(p)
+    supp, masses = _integer_atoms(p)
     if abs(d) > 0.5 + 1e-15:
         raise PreconditionError("mukhin_D requires |d| <= 1/2")
     if d == 0.0:
         return 0.0
-    off, w = _dense(p)
-    supp = off + np.flatnonzero(w > 0)
-    masses = w[supp - off]
     xd = supp * d
 
     def objective(a: float) -> float:
@@ -122,24 +110,18 @@ def mukhin_D(p: LatticePmf, d: float, grid_step: float = 1e-4,
 
 def mukhin_H(p: LatticePmf, d: float) -> float:
     """E<X* d>^2 over the exact symmetrisation X* of X."""
-    _require_integer_form(p)
+    p.integer_view()
     if abs(d) > 0.5 + 1e-15:
         raise PreconditionError("mukhin_H requires |d| <= 1/2")
-    ps = symmetrized(p)
-    off, w = _dense(ps)
-    supp = off + np.flatnonzero(w > 0)
-    masses = w[supp - off]
+    supp, masses = _integer_atoms(symmetrized(p))
     return float(np.dot(masses, _nearest_int_sq(supp * d)))
 
 
 def nu_char(p: LatticePmf, h: int) -> float:
     """min_j P{X != j (mod h)} -- residue-class spread, 0 for a point mass."""
-    _require_integer_form(p)
+    supp, masses = _integer_atoms(p)
     if h < 2:
         raise PreconditionError("nu_char requires h >= 2")
-    off, w = _dense(p)
-    supp = off + np.flatnonzero(w > 0)
-    masses = w[supp - off]
     res = np.zeros(h)
     np.add.at(res, supp % h, masses)
     return float(1.0 - res.max())
@@ -166,10 +148,7 @@ def mukhin_hn_ratio(pmfs: list[LatticePmf], delta_n: float) -> float:
     l3 = 0.0
     hn_terms = []
     for p in pmfs:
-        _require_integer_form(p)
-        off, w = _dense(p)
-        supp = off + np.flatnonzero(w > 0)
-        masses = w[supp - off]
+        supp, masses = _integer_atoms(p)
         mu = float(np.dot(masses, supp))
         b2 += float(np.dot(masses, (supp - mu) ** 2))
         l3 += float(np.dot(masses, np.abs(supp - mu) ** 3))

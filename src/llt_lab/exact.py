@@ -24,6 +24,7 @@ from .lattice import (
     MAX_WINDOW,
     UNDERFLOW_FLOOR,
     LatticePmf,
+    LatticeWindow,
     MomentSummary,
     moments,
 )
@@ -33,51 +34,37 @@ DIRECT_CONV_LIMIT = 4096
 
 
 @dataclass(frozen=True)
-class SumLawTable:
-    """Exact pmf of a partial sum S_n on the lattice n*v0 + D*Z.
+class SumLawTable(LatticeWindow):
+    """Exact pmf of a partial sum S_n on the lattice origin + D*Z, origin = n*v0.
 
-    ``offset`` is the smallest stored index, ``probs`` the dense mass vector.
-    ``lost_mass`` accumulates underflow drops; ``beyond_mass`` is the mass
-    pushed past an explicit support cap (only possible for laws on
-    nonnegative indices, where it can never flow back into the window).
+    ``offset`` is the smallest stored index, ``dense`` the mass vector (also
+    readable as ``probs``).  ``lost_mass`` accumulates underflow drops;
+    ``beyond_mass`` is the mass pushed past an explicit support cap (only
+    possible for laws on nonnegative indices, where it can never flow back
+    into the window).
     """
 
     n: int
-    v0: float
+    origin: float
     D: float
     offset: int
-    probs: np.ndarray
+    dense: np.ndarray
     meta: MomentSummary
     lost_mass: float = 0.0
     beyond_mass: float = 0.0
 
     @property
-    def support(self) -> np.ndarray:
-        return self.offset + np.flatnonzero(self.probs > 0)
-
-    def points(self, indices=None) -> np.ndarray:
-        k = self.support if indices is None else np.asarray(indices)
-        return self.n * self.v0 + self.D * k
-
-    def prob(self, index: int) -> float:
-        """Mass at lattice index (0 outside the window)."""
-        i = index - self.offset
-        if 0 <= i < len(self.probs):
-            return float(self.probs[i])
-        return 0.0
-
-    def total_mass(self) -> float:
-        return float(self.probs.sum())
+    def probs(self) -> np.ndarray:
+        return self.dense
 
     def to_csv(self, path) -> None:
-        """Rows (k, value_point, mass) over the stored window."""
+        """Rows (k, value_point, mass) over the stored support."""
+        supp, masses = self.atoms()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k", "value_point", "mass"])
-            for i, mass in enumerate(self.probs):
-                if mass > 0:
-                    k = self.offset + i
-                    writer.writerow([k, repr(self.n * self.v0 + self.D * k), repr(float(mass))])
+            writer.writerows(zip(supp.tolist(), map(repr, self.points(supp).tolist()),
+                                 map(repr, masses.tolist())))
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, method: str = "auto") -> np.ndarray:
@@ -158,21 +145,21 @@ def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
         sigma2=None if mom.sigma2 is None else n * mom.sigma2,
         mu3=None if mom.mu3 is None else n * mom.mu3,
     )
-    return SumLawTable(n=n, v0=p.v0, D=p.D, offset=acc_off, probs=acc,
+    return SumLawTable(n=n, origin=n * p.v0, D=p.D, offset=acc_off, dense=acc,
                        meta=meta, lost_mass=lost, beyond_mass=beyond)
 
 
 def convolve_tables(a: SumLawTable, b: SumLawTable, method: str = "auto") -> SumLawTable:
-    """Law of the independent sum of two partial sums over the same base lattice."""
-    if (a.v0, a.D) != (b.v0, b.D):
-        raise PreconditionError("tables must share the base lattice")
-    probs = _convolve(a.probs, b.probs, method)
+    """Law of the independent sum of two partial sums on lattices of the same span."""
+    if a.D != b.D:
+        raise PreconditionError("tables must share the lattice span")
+    probs = _convolve(a.dense, b.dense, method)
     probs, lost = _floor_small(probs)
     mu = None if a.meta.mu is None or b.meta.mu is None else a.meta.mu + b.meta.mu
     s2 = None if a.meta.sigma2 is None or b.meta.sigma2 is None else a.meta.sigma2 + b.meta.sigma2
     mu3 = None if a.meta.mu3 is None or b.meta.mu3 is None else a.meta.mu3 + b.meta.mu3
-    return SumLawTable(n=a.n + b.n, v0=a.v0, D=a.D, offset=a.offset + b.offset,
-                       probs=probs, meta=MomentSummary(mu, s2, mu3),
+    return SumLawTable(n=a.n + b.n, origin=a.origin + b.origin, D=a.D,
+                       offset=a.offset + b.offset, dense=probs, meta=MomentSummary(mu, s2, mu3),
                        lost_mass=a.lost_mass + b.lost_mass + lost,
                        beyond_mass=a.beyond_mass + b.beyond_mass)
 
@@ -225,7 +212,7 @@ def weighted_sum_law(weights: Sequence[int], probs: Sequence[float],
     mu = float(np.dot(a, q))
     s2 = float(sum(ak * ak * qk * (1 - qk) for ak, qk in zip(a, q)))
     mu3 = float(sum(ak ** 3 * qk * (1 - qk) * (1 - 2 * qk) for ak, qk in zip(a, q)))
-    return SumLawTable(n=len(a), v0=0.0, D=1.0, offset=0, probs=law[: hi + 1].copy(),
+    return SumLawTable(n=len(a), origin=0.0, D=1.0, offset=0, dense=law[: hi + 1].copy(),
                        meta=MomentSummary(mu, s2, mu3), beyond_mass=beyond)
 
 
@@ -260,10 +247,10 @@ def joint_law(p: LatticePmf, m: int, n: int,
         raise PreconditionError("joint_law requires 1 <= m < n")
     law_m = sum_law(p, m)
     law_inc = sum_law(p, n - m)
-    a_lo, a_hi = a_window if a_window else (law_m.offset, law_m.offset + len(law_m.probs) - 1)
+    a_lo, a_hi = a_window if a_window else (law_m.offset, law_m.offset + len(law_m.dense) - 1)
     b_lo, b_hi = b_window if b_window else (law_m.offset + law_inc.offset,
-                                            law_m.offset + len(law_m.probs) - 1
-                                            + law_inc.offset + len(law_inc.probs) - 1)
+                                            law_m.offset + len(law_m.dense) - 1
+                                            + law_inc.offset + len(law_inc.dense) - 1)
     a_idx = np.arange(a_lo, a_hi + 1)
     b_idx = np.arange(b_lo, b_hi + 1)
     pa = np.array([law_m.prob(int(a)) for a in a_idx])
@@ -311,9 +298,8 @@ class RunningConvolution:
 
 def _lattice_cdf_pairs(law: SumLawTable, center: float, scale: float):
     """Normalised atom positions with CDF values just below and at each atom."""
-    supp = law.support
+    supp, masses = law.atoms()
     x = (law.points(supp) - center) / scale
-    masses = law.probs[supp - law.offset]
     cdf = np.cumsum(masses)
     below = np.concatenate(([0.0], cdf[:-1]))
     return x, below, cdf
@@ -345,11 +331,13 @@ def sup_cdf_distance(law: SumLawTable, center: Optional[float] = None,
 
 def lattice_cdf_sup_distance(a: SumLawTable, b: SumLawTable) -> float:
     """sup_x |F_a(x) - F_b(x)| for two lattice laws on the same value scale."""
-    xa = a.points(a.support)
-    xb = b.points(b.support)
+    supp_a, ma = a.atoms()
+    supp_b, mb = b.atoms()
+    xa = a.points(supp_a)
+    xb = b.points(supp_b)
     grid = np.union1d(xa, xb)
-    ca = np.cumsum(a.probs[a.support - a.offset])
-    cb = np.cumsum(b.probs[b.support - b.offset])
+    ca = np.cumsum(ma)
+    cb = np.cumsum(mb)
     fa = np.concatenate(([0.0], ca))[np.searchsorted(xa, grid, side="right")]
     fb = np.concatenate(([0.0], cb))[np.searchsorted(xb, grid, side="right")]
     return float(np.max(np.abs(fa - fb)))
@@ -359,11 +347,10 @@ def residues_mod(law: SumLawTable, h: int) -> np.ndarray:
     """Distribution of S_n mod h; requires the lattice to be integral."""
     if h < 2:
         raise PreconditionError("residue modulus must be >= 2")
-    v0n = law.n * law.v0
-    if abs(v0n - round(v0n)) > 1e-9 or abs(law.D - round(law.D)) > 1e-9:
+    if abs(law.origin - round(law.origin)) > 1e-9 or abs(law.D - round(law.D)) > 1e-9:
         raise PreconditionError("residues need an integer-valued lattice")
     out = np.zeros(h)
-    supp = law.support
-    vals = (round(v0n) + int(round(law.D)) * supp) % h
-    np.add.at(out, vals, law.probs[supp - law.offset])
+    supp, masses = law.atoms()
+    vals = (round(law.origin) + int(round(law.D)) * supp) % h
+    np.add.at(out, vals, masses)
     return out

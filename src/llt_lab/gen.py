@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import LatticePmf, char_fn, maximal_span, moments
+from .lattice import LatticePmf, adjacent_overlap, char_fn, maximal_span, moments
 from .rng import stream
 
 
@@ -24,8 +24,7 @@ def random_adjacent_pmf(rng: np.random.Generator, max_atoms: int = 8) -> Lattice
     """Random pmf guaranteed to carry mass on two adjacent integers."""
     while True:
         p = random_pmf(rng, max_atoms=max_atoms)
-        w = p.dense
-        if np.minimum(w[:-1], w[1:]).sum() > 1e-3:
+        if adjacent_overlap(p) > 1e-3:
             return p
 
 

@@ -1,24 +1,32 @@
 """Lattice-valued probability mass functions.
 
-A lattice pmf lives on the point set {v0 + k*D : k in Z} and is stored as a
-sparse mapping from the integer index k to its mass, together with a dense
-window view used by the convolution engine.  All values are plain floats;
-objects are treated as immutable after construction.
+A lattice pmf lives on the point set {v0 + k*D : k in Z} and is stored as
+one dense window of masses over the index range offset .. offset+len-1; the
+exact engine's sum tables share that form (``LatticeWindow``).  Objects are
+treated as immutable after construction.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 from scipy.special import zeta
 
-from .errors import DegenerateLawError, ResourceLimitError, UnsupportedParameterError
+from .errors import (
+    DegenerateLawError,
+    PreconditionError,
+    ResourceLimitError,
+    UnsupportedParameterError,
+)
 
 MASS_TOL = 1e-12
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: masses below this floor are dropped by the exact engine and accumulated
 #: into a lost-mass diagnostic
@@ -41,80 +49,130 @@ class MomentSummary:
     mu3: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class LatticePmf:
-    """Probability mass function on the lattice v0 + D*Z.
+class LatticeWindow:
+    """Masses over the index window offset .. offset+len(dense)-1 of origin + D*Z.
 
-    weights maps the integer index k to the mass at point v0 + k*D.  For
-    analytically defined infinite families (power tail), ``family`` holds the
-    descriptor including the truncation index and the discarded tail mass;
-    the stored weights are renormalised to total mass one and the deficit is
-    recorded, not hidden.
+    The one stored form of a lattice law, shared by ``LatticePmf`` (origin
+    v0) and the exact engine's ``SumLawTable`` (origin n*v0).  Subclasses set
+    ``origin``, ``D``, ``offset`` and ``dense``; every view below is derived
+    from those four.
     """
 
-    v0: float
-    D: float
-    weights: Mapping[int, float]
-    family: Optional[dict] = None
-    _dense: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not (self.D > 0):
-            raise ValueError("span D must be positive")
-        if not self.weights:
-            raise ValueError("weights must be non-empty")
-        keys = np.array(sorted(self.weights), dtype=np.int64)
-        vals = np.array([self.weights[int(k)] for k in keys], dtype=np.float64)
-        if np.any(vals < -MASS_TOL):
-            raise ValueError("weights must be nonnegative")
-        vals = np.maximum(vals, 0.0)
-        total = vals.sum()
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"total mass {total!r} not within {MASS_TOL} of 1")
-        if not np.any(vals > 0):
-            raise ValueError("at least one strictly positive weight required")
-        width = int(keys[-1] - keys[0]) + 1
-        if width > MAX_WINDOW:
-            raise ResourceLimitError(f"dense window of {width} entries exceeds budget")
-        dense = np.zeros(width)
-        dense[keys - keys[0]] = vals
-        object.__setattr__(self, "_dense", (int(keys[0]), dense))
-
-    # -- views ---------------------------------------------------------------
-
-    @property
-    def offset(self) -> int:
-        """Smallest support index of the dense window."""
-        return self._dense[0]
-
-    @property
-    def dense(self) -> np.ndarray:
-        """Dense mass vector over indices offset .. offset+len-1."""
-        return self._dense[1]
+    __slots__ = ()
 
     @property
     def support(self) -> np.ndarray:
         """Sorted array of indices carrying positive mass."""
-        off, dense = self._dense
-        return off + np.flatnonzero(dense > 0)
+        return self.offset + np.flatnonzero(self.dense > 0)
 
-    def points(self, indices: np.ndarray | None = None) -> np.ndarray:
-        """Lattice point values v0 + k*D for the given (or all support) indices."""
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Support indices and their masses."""
+        nz = np.flatnonzero(self.dense > 0)
+        return self.offset + nz, self.dense[nz]
+
+    def points(self, indices=None) -> np.ndarray:
+        """Lattice point values origin + k*D for the given (or all support) indices."""
         k = self.support if indices is None else np.asarray(indices)
-        return self.v0 + self.D * k
+        return self.origin + self.D * k
+
+    def prob(self, index: int) -> float:
+        """Mass at lattice index (0 outside the window)."""
+        i = index - self.offset
+        if 0 <= i < len(self.dense):
+            return float(self.dense[i])
+        return 0.0
+
+    def total_mass(self) -> float:
+        return float(self.dense.sum())
+
+    def integer_view(self) -> tuple[int, np.ndarray]:
+        """(offset, dense) with index k standing for the integer value k itself.
+
+        Needs span 1 and an integral origin, which is folded into the offset.
+        """
+        if self.D != 1.0 or not float(self.origin).is_integer():
+            raise PreconditionError("integer-valued law required (span 1, integral origin)")
+        return self.offset + int(self.origin), self.dense
+
+
+class LatticePmf(LatticeWindow):
+    """Probability mass function on the lattice v0 + D*Z.
+
+    ``weights`` maps the integer index k to the mass at point v0 + k*D; it is
+    turned into the dense window once, here, and the window spans the first
+    to the last positive atom.  For analytically defined infinite families
+    (power tail), ``family`` holds the descriptor including the truncation
+    index and the discarded tail mass; the stored masses are renormalised to
+    total mass one and the deficit is recorded, not hidden.
+    """
+
+    __slots__ = ("v0", "D", "offset", "dense", "family")
+
+    def __init__(self, v0: float, D: float, weights: Mapping[int, float],
+                 family: Optional[dict] = None):
+        if not weights:
+            raise ValueError("weights must be non-empty")
+        keys = np.fromiter(weights, dtype=np.int64, count=len(weights))
+        lo = int(keys.min())
+        width = int(keys.max()) - lo + 1
+        if width > MAX_WINDOW:
+            raise ResourceLimitError(f"dense window of {width} entries exceeds budget")
+        dense = np.zeros(width)
+        dense[keys - lo] = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
+        self._set_window(v0, D, lo, dense, family)
+
+    @classmethod
+    def _from_window(cls, v0: float, D: float, offset: int, dense: np.ndarray,
+                     family: Optional[dict] = None) -> "LatticePmf":
+        p = cls.__new__(cls)
+        p._set_window(v0, D, offset, dense, family)
+        return p
+
+    def _set_window(self, v0, D, offset, dense, family) -> None:
+        """The single validation of every constructor; trims zero edges."""
+        if not (D > 0):
+            raise ValueError("span D must be positive")
+        if len(dense) > MAX_WINDOW:
+            raise ResourceLimitError(f"dense window of {len(dense)} entries exceeds budget")
+        if np.any(dense < -MASS_TOL):
+            raise ValueError("weights must be nonnegative")
+        if np.any(dense < 0):
+            dense = np.maximum(dense, 0.0)
+        total = dense.sum()
+        if abs(total - 1.0) > MASS_TOL:
+            raise ValueError(f"total mass {total!r} not within {MASS_TOL} of 1")
+        positive = dense > 0
+        first = int(positive.argmax())
+        if not positive[first]:
+            raise ValueError("at least one strictly positive weight required")
+        last = len(dense) - int(positive[::-1].argmax())
+        self.v0, self.D, self.family = v0, D, family
+        self.offset, self.dense = offset + first, dense[first:last]
+
+    # -- views ---------------------------------------------------------------
+
+    @property
+    def origin(self) -> float:
+        return self.v0
+
+    @property
+    def weights(self) -> Mapping[int, float]:
+        """Read-only index -> mass view of the positive atoms, built on access."""
+        supp, masses = self.atoms()
+        return MappingProxyType(dict(zip(supp.tolist(), masses.tolist())))
 
     @property
     def discarded_mass(self) -> float:
         return self.family.get("discarded_mass", 0.0) if self.family else 0.0
 
     def is_degenerate(self) -> bool:
-        return len(self.support) == 1
+        return len(self.dense) == 1
 
     # -- basic transforms ------------------------------------------------------
 
     def relabel(self) -> "LatticePmf":
         """Affine relabeling X' = (X - v0)/D onto the integer lattice (v0=0, D=1)."""
-        return LatticePmf(0.0, 1.0, dict(self.weights), family=self.family)
+        return LatticePmf._from_window(0.0, 1.0, self.offset, self.dense, self.family)
 
     # -- serialization ---------------------------------------------------------
 
@@ -129,7 +187,8 @@ class LatticePmf:
                     "truncation_mass": self.family["truncation_mass"],
                 }
             )
-        pmf = [[int(k), self.weights[int(k)]] for k in sorted(self.weights)]
+        supp, masses = self.atoms()
+        pmf = [[k, m] for k, m in zip(supp.tolist(), masses.tolist())]
         return json.dumps({"v0": self.v0, "D": self.D, "pmf": pmf})
 
     @staticmethod
@@ -143,10 +202,6 @@ class LatticePmf:
 
 
 # -- constructors for common laws -----------------------------------------------
-
-
-def from_weights(v0: float, D: float, weights: Mapping[int, float]) -> LatticePmf:
-    return LatticePmf(v0, D, dict(weights))
 
 
 def bernoulli(p: float) -> LatticePmf:
@@ -164,10 +219,8 @@ def uniform_range(a: int, b: int) -> LatticePmf:
 
 
 def point_mass(value: float) -> LatticePmf:
-    """Unit mass at one point; integer values live on the integer lattice."""
-    if float(value).is_integer():
-        return LatticePmf(0.0, 1.0, {int(value): 1.0})
-    return LatticePmf(value, 1.0, {0: 1.0})
+    """Unit mass at index 0 of the lattice value + Z."""
+    return LatticePmf(float(value), 1.0, {0: 1.0})
 
 
 def centered_coin() -> LatticePmf:
@@ -199,14 +252,14 @@ def power_tail(alpha: float, c: float = 1.0, tail_mass: float = 1e-10,
     if max_index is not None:
         J = min(J, max_index)
     J = min(max(J, 8), hard_cap)
-    j = np.arange(1, J + 1, dtype=np.float64)
-    w = c * (j ** -alpha - (j + 1) ** -alpha)
+    tail = np.arange(1, J + 2, dtype=np.float64) ** -alpha  # j^-a for j = 1..J+1
+    w = c * (tail[:-1] - tail[1:])
     discarded = c * float(J + 1) ** -alpha
     kept = w.sum() + (1.0 - c)
     scale = 1.0 / kept
-    weights = {idx: mass * scale for idx, mass in enumerate(w, start=1) if mass > 0}
+    w *= scale
     if c < 1.0:
-        weights[0] = (1.0 - c) * scale
+        w = np.concatenate(([(1.0 - c) * scale], w))
     fam = {
         "alpha": float(alpha),
         "c": float(c),
@@ -214,7 +267,7 @@ def power_tail(alpha: float, c: float = 1.0, tail_mass: float = 1e-10,
         "truncation_index": int(J),
         "discarded_mass": float(discarded),
     }
-    return LatticePmf(0.0, 1.0, weights, family=fam)
+    return LatticePmf._from_window(0.0, 1.0, 0 if c < 1.0 else 1, w, family=fam)
 
 
 # -- operations -------------------------------------------------------------------
@@ -236,6 +289,12 @@ def maximal_span(p: LatticePmf) -> float:
     return p.D * g
 
 
+def adjacent_overlap(p: LatticeWindow) -> float:
+    """sum_k min(f(k), f(k+1)) over the law's own lattice indices."""
+    w = p.dense
+    return float(np.minimum(w[:-1], w[1:]).sum())
+
+
 def moments(p: LatticePmf) -> MomentSummary:
     """Exact weighted moments over the stored support.
 
@@ -243,23 +302,18 @@ def moments(p: LatticePmf) -> MomentSummary:
     exist: mean requires alpha > 1 (returned analytically as c*zeta(alpha)),
     variance alpha > 2, third moment alpha > 3.  Missing ones are None.
     """
+    alpha = math.inf  # an explicit law has every moment
     if p.family is not None:
-        alpha, c = p.family["alpha"], p.family["c"]
-        mu = float(c * zeta(alpha, 1)) if alpha > 1 else None
+        alpha = p.family["alpha"]
+        mu = float(p.family["c"] * zeta(alpha, 1)) if alpha > 1 else None
         if alpha <= 2:
             return MomentSummary(mu=mu, sigma2=None, mu3=None)
-        supp = p.support.astype(np.float64)
-        w = p.dense[p.support - p.offset]
-        x = p.v0 + p.D * supp
-        sigma2 = float(np.dot(w, (x - mu) ** 2))
-        mu3 = float(np.dot(w, (x - mu) ** 3)) if alpha > 3 else None
-        return MomentSummary(mu=mu, sigma2=sigma2, mu3=mu3)
-    supp = p.support
-    w = p.dense[supp - p.offset]
-    x = p.v0 + p.D * supp.astype(np.float64)
-    mu = float(np.dot(w, x))
+    supp, w = p.atoms()
+    x = p.points(supp)
+    if p.family is None:
+        mu = float(np.dot(w, x))
     sigma2 = float(np.dot(w, (x - mu) ** 2))
-    mu3 = float(np.dot(w, (x - mu) ** 3))
+    mu3 = float(np.dot(w, (x - mu) ** 3)) if alpha > 3 else None
     return MomentSummary(mu=mu, sigma2=sigma2, mu3=mu3)
 
 
@@ -269,9 +323,8 @@ def char_fn(p: LatticePmf, t) -> complex | np.ndarray:
     Vectorised over t; |result| <= 1 and char_fn(p, 0) == 1 exactly.
     """
     t_arr = np.asarray(t, dtype=np.float64)
-    supp = p.support
-    w = p.dense[supp - p.offset]
-    x = p.v0 + p.D * supp.astype(np.float64)
+    supp, w = p.atoms()
+    x = p.points(supp)
     vals = np.exp(1j * np.outer(t_arr, x)) @ w
     if np.isscalar(t) or t_arr.ndim == 0:
         return complex(vals.reshape(-1)[0])

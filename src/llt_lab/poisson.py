@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .exact import SumLawTable, weighted_sum_law
-from .lattice import LatticePmf
+from .lattice import LatticeWindow
 
 #: Poisson tails are truncated where the remaining mass drops below this
 POISSON_TAIL = 1e-14
@@ -35,18 +35,11 @@ def poisson_pmf(lam: float, k_max: int | None = None) -> np.ndarray:
 
 def _as_array(law) -> np.ndarray:
     """Coerce a law on nonnegative integers to a dense mass vector from 0."""
-    if isinstance(law, SumLawTable):
-        if law.offset < 0:
+    if isinstance(law, LatticeWindow):
+        off, dense = law.integer_view()
+        if off < 0:
             raise PreconditionError("law must live on nonnegative integers")
-        out = np.zeros(law.offset + len(law.probs))
-        out[law.offset:] = law.probs
-        return out
-    if isinstance(law, LatticePmf):
-        if law.offset < 0 or law.v0 != 0.0 or law.D != 1.0:
-            raise PreconditionError("law must live on nonnegative integers")
-        out = np.zeros(law.offset + len(law.dense))
-        out[law.offset:] = law.dense
-        return out
+        return np.concatenate((np.zeros(off), dense))
     arr = np.asarray(law, dtype=np.float64)
     if arr.ndim != 1 or np.any(arr < -1e-15):
         raise PreconditionError("law must be a 1-d nonnegative mass vector")
@@ -117,7 +110,7 @@ def lecam_full_sum(ps: Sequence[float]) -> float:
     """Exact sum_k |P{S_n=k} - e^{-lam} lam^k/k!| with lam = sum p_i."""
     law = poisson_binomial_law(ps)
     lam = float(np.sum(ps))
-    pois = poisson_pmf(lam, k_max=len(law.probs) - 1)
+    pois = poisson_pmf(lam, k_max=len(law.dense) - 1)
     return 2.0 * tv_distance(law, pois)
 
 

@@ -24,16 +24,6 @@ from .lattice import LatticePmf, bernoulli, char_fn, moments
 Check = tuple[str, bool, str]
 
 
-def _tv_pmfs(a: LatticePmf, b: LatticePmf) -> float:
-    lo = min(a.offset, b.offset)
-    hi = max(a.offset + len(a.dense), b.offset + len(b.dense))
-    da = np.zeros(hi - lo)
-    db = np.zeros(hi - lo)
-    da[a.offset - lo: a.offset - lo + len(a.dense)] = a.dense
-    db[b.offset - lo: b.offset - lo + len(b.dense)] = b.dense
-    return 0.5 * float(np.abs(da - db).sum())
-
-
 def identities_suite(cases: int = 50, seed: int = 2024) -> list[Check]:
     rng = seeded(seed)
     out: list[Check] = []
@@ -42,7 +32,7 @@ def identities_suite(cases: int = 50, seed: int = 2024) -> list[Check]:
         p = random_adjacent_pmf(rng)
         worst_dt = max(worst_dt, abs(ch.delta_char(p) - 2.0 * (1.0 - ch.theta_char(p))))
         dec = bp.decompose(p)
-        worst_rec = max(worst_rec, _tv_pmfs(dec.reconstructed(), p))
+        worst_rec = max(worst_rec, ps.tv_distance(dec.reconstructed(), p))
         n = int(rng.integers(2, 7))
         sp = bp.exact_Sprime_law(dec, n)
         sn = sum_law(p, n)
@@ -50,18 +40,12 @@ def identities_suite(cases: int = 50, seed: int = 2024) -> list[Check]:
                                        - (sn.meta.sigma2 - 0.25 * n * dec.theta)))
         # sum identity: W_n + D M_n with binomial mixing over the eps count
         mix = _mixture_law(dec, n)
-        worst_lmd = max(worst_lmd, _tv_pmfs(mix, _pmf_of_table(sn)))
+        worst_lmd = max(worst_lmd, ps.tv_distance(mix, sn))
     out.append(("delta = 2(1 - theta)", worst_dt < 1e-10, f"max gap {worst_dt:.2e}"))
     out.append(("coin-extraction reconstruction", worst_rec < 1e-10, f"max TV {worst_rec:.2e}"))
     out.append(("smoothed-sum variance identity", worst_var < 1e-10, f"max gap {worst_var:.2e}"))
     out.append(("sum decomposition identity", worst_lmd < 1e-10, f"max TV {worst_lmd:.2e}"))
     return out
-
-
-def _pmf_of_table(t) -> LatticePmf:
-    supp = t.support
-    weights = {int(k): float(t.probs[k - t.offset]) for k in supp}
-    return LatticePmf(t.n * t.v0, t.D, weights)
 
 
 def _mixture_law(dec, n: int) -> LatticePmf:
@@ -133,7 +117,7 @@ def inequalities_suite(cases: int = 40, seed: int = 77) -> list[Check]:
                 ok[4], detail[4] = False, f"t={t:.3f}"
         q = random_pmf(rng)
         s = convolve_tables(sum_law(p, 1), sum_law(q, 1))
-        if ch.delta_char(_pmf_of_table(s)) > min(ch.delta_char(p), ch.delta_char(q)) + 1e-12:
+        if ch.delta_char(s) > min(ch.delta_char(p), ch.delta_char(q)) + 1e-12:
             ok[5], detail[5] = False, "convolution pair"
     return [(n, o, d) for n, o, d in zip(names, ok, detail)]
 

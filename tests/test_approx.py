@@ -335,3 +335,9 @@ def test_shift_stability_ratio():
         ratios.append(law.prob(n // 2 + shift) / law.prob(n // 2))
     assert abs(ratios[-1] - 1.0) < 0.05
     assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
+
+
+def test_aud_residues_fold_the_origin():
+    # unit mass at the value 1: the residue mod 2 is 1, not index 0
+    diag = ax.aud_diagnostics(LatticePmf(1.0, 1.0, {0: 1.0}), 1, 2)
+    assert list(diag.residues) == [0.0, 1.0]

@@ -190,3 +190,7 @@ def test_integer_form_required():
     with pytest.raises(PreconditionError):
         ch.delta_char(shifted)
     assert ch.delta_char(shifted.relabel()) == pytest.approx(1.0)
+
+
+def test_integral_origin_folds_into_index():
+    assert ch.delta_char(LatticePmf(2.0, 1.0, {0: 0.5, 1: 0.5})) == 1.0

@@ -145,3 +145,13 @@ def test_weights_validation():
         LatticePmf(0.0, -1.0, {0: 1.0})
     with pytest.raises(ValueError):
         LatticePmf(0.0, 1.0, {0: 1.2, 1: -0.2})
+
+
+def test_weights_view_rebuilds_the_same_window():
+    rng = seeded(17)
+    for p in [random_pmf(rng, span=s) for s in (1, 2, 3) for _ in range(10)] + [
+        power_tail(1.5, max_index=1000)
+    ]:
+        q = LatticePmf(p.v0, p.D, p.weights)
+        assert q.offset == p.offset
+        assert q.dense.tobytes() == p.dense.tobytes()

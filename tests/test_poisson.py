@@ -172,3 +172,9 @@ def test_gap_table_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "k,exactMass,poissonMass,absGap"
     assert len(lines) > 3
+
+
+def test_tv_lattice_law_with_integral_origin():
+    from llt_lab.lattice import LatticePmf
+
+    assert ps.tv_distance(LatticePmf(1.0, 1.0, {0: 1.0}), np.array([0.0, 1.0])) == 0.0
