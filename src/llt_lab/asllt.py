@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .exact import RunningConvolution, sum_law
+from .exact import RunningConvolution, _visit_tables, _WeightedDP, sum_law, weighted_sum_law
 from .lattice import SQRT_2PI, LatticePmf, adjacent_overlap, moments
 from .rng import stream
 
@@ -137,14 +137,20 @@ def asllt_path(p: LatticePmf, kappa: float, N: int, seed: int) -> PathEstimate:
                         checkpoints=cps, kappa_desc=rule.describe())
 
 
+def _require_horizon(N: int) -> None:
+    if N < 2:
+        raise PreconditionError("need N >= 2 (the log-average divides by log N)")
+
+
 def asllt_expectation(p: LatticePmf, kappa: float, N: int) -> float:
     """Exact (1/log N) sum_{n<=N} n^{-1/2} P{S_n = kappa_n}."""
+    _require_horizon(N)
     rule = KappaRule.for_pmf(p, kappa)
     run = RunningConvolution(p)
     acc = 0.0
-    for n in range(1, N + 1):
+    for n, target in enumerate(rule.index(np.arange(1, N + 1)).tolist(), start=1):
         run.step()
-        acc += run.prob(int(rule.index(n))) / math.sqrt(n)
+        acc += run.prob(target) / math.sqrt(n)
     return acc / math.log(N)
 
 
@@ -245,17 +251,7 @@ def markov_kappa_indices(chain: TwoStateChain, kappa: float, n) -> np.ndarray:
 
 def markov_ones_pmf(chain: TwoStateChain, nu: int) -> np.ndarray:
     """Exact pmf of the number of ones among xi_1..xi_nu (stationary start)."""
-    pi0, pi1 = chain.pi
-    P = chain.transition()
-    # table[j, s] = P(#ones = j, xi_k = s)
-    table = np.zeros((2, 2))
-    table[0, 0] = pi0
-    table[1, 1] = pi1
-    for _ in range(nu - 1):
-        nxt = np.zeros((table.shape[0] + 1, 2))
-        nxt[: table.shape[0], 0] = table @ P[:, 0]
-        nxt[1: table.shape[0] + 1, 1] = table @ P[:, 1]
-        table = nxt
+    *_, table = _visit_tables(chain.transition(), chain.pi, nu)
     return table.sum(axis=1)
 
 
@@ -313,23 +309,14 @@ def markov_asllt_path(chain: TwoStateChain, kappa: float, N: int, seed: int) -> 
 
 def markov_asllt_expectation(chain: TwoStateChain, kappa: float, N: int) -> float:
     """Exact (1/log N) sum (sigma/sqrt(nu)) P{S_nu = kappa_nu} via the transfer table."""
-    pi0, pi1 = chain.pi
-    P = chain.transition()
+    _require_horizon(N)
     sigma = math.sqrt(chain.sigma2)
-    table = np.zeros((2, 2))
-    table[0, 0] = pi0
-    table[1, 1] = pi1
     targets = markov_kappa_indices(chain, kappa, np.arange(1, N + 1))
     acc = 0.0
-    for nu in range(1, N + 1):
-        j = targets[nu - 1]
+    tables = _visit_tables(chain.transition(), chain.pi, N)
+    for nu, (j, table) in enumerate(zip(targets, tables), start=1):
         if 0 <= j < table.shape[0]:
             acc += table[j].sum() * sigma / math.sqrt(nu)
-        if nu < N:
-            nxt = np.zeros((table.shape[0] + 1, 2))
-            nxt[: table.shape[0], 0] = table @ P[:, 0]
-            nxt[1: table.shape[0] + 1, 1] = table @ P[:, 1]
-            table = nxt
     return acc / math.log(N)
 
 
@@ -419,8 +406,6 @@ def dickman_weights(n: int) -> tuple[list[int], list[float]]:
 
 
 def dickman_sum_law(n: int, max_value: Optional[int] = None):
-    from .exact import weighted_sum_law
-
     a, q = dickman_weights(n)
     return weighted_sum_law(a, q, max_value=max_value)
 
@@ -480,25 +465,14 @@ def asllt_dickman_path(N: int, seed: int, rho: DickmanRho, x: float = 1.0) -> Pa
 
 def dickman_expectation(N: int, x: float, rho: DickmanRho) -> float:
     """Exact (1/log N) sum_{n<=N} P{T_n = round(x n)} via the running DP."""
-    cap = int(math.floor(x * N + 0.5)) + 1
-    law = np.zeros(cap + 1)
-    law[0] = 1.0
-    hi = 0
+    _require_horizon(N)
+    dp = _WeightedDP(int(math.floor(x * N + 0.5)) + 1)
     acc = 0.0
     for n in range(1, N + 1):
-        q = 1.0 / n
-        new_hi = min(hi + n, cap)
-        if n <= cap:
-            src_hi = min(hi, cap - n)
-            out = law[: new_hi + 1] * (1.0 - q)
-            out[n: n + src_hi + 1] += law[: src_hi + 1] * q
-            law[: new_hi + 1] = out
-        else:
-            law[: hi + 1] *= 1.0 - q
-        hi = new_hi
+        dp.step(n, 1.0 / n)
         kappa = math.floor(x * n + 0.5)
-        if kappa <= hi:
-            acc += law[kappa]
+        if kappa <= dp.hi:
+            acc += dp.law[kappa]
     return acc / math.log(N)
 
 

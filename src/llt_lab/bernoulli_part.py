@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import NoBernoulliComponentError, PreconditionError
 from .exact import SumLawTable, sum_law, sup_cdf_distance, weighted_sum_law
@@ -133,6 +132,8 @@ def rho_bound(h: float, theta_n: float) -> float:
 
 def rho_exact_iid(n: int, theta: float, h: float) -> float:
     """Exact P{|Binomial(n, theta) - n theta| > h n theta} (strict inequality)."""
+    from scipy.stats import binom  # scipy.stats is slow to import and only needed here
+
     mu = n * theta
     lo_in = max(math.ceil(mu - h * mu), 0)
     hi_in = min(math.floor(mu + h * mu), n)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import ndtr
 
 from .errors import DegenerateLawError, PreconditionError, ResourceLimitError
@@ -68,11 +68,15 @@ class SumLawTable(LatticeWindow):
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, method: str = "auto") -> np.ndarray:
-    if method == "direct" or (method == "auto" and min(len(a), len(b)) <= 8):
+    short, long = sorted((len(a), len(b)))
+    # a length-1 factor is a plain product, as in scipy.signal.fftconvolve
+    if method == "direct" or short == 1 \
+            or (method == "auto" and (short <= 8 or long <= DIRECT_CONV_LIMIT)):
         return np.convolve(a, b)
-    if method == "auto" and max(len(a), len(b)) <= DIRECT_CONV_LIMIT:
-        return np.convolve(a, b)
-    out = fftconvolve(a, b)
+    # the real-input path of scipy.signal.fftconvolve, without importing scipy.signal
+    n = len(a) + len(b) - 1
+    size = next_fast_len(n, True)
+    out = irfft(rfft(a, size) * rfft(b, size), size)[:n]
     return np.maximum(out, 0.0)
 
 
@@ -164,6 +168,52 @@ def convolve_tables(a: SumLawTable, b: SumLawTable, method: str = "auto") -> Sum
                        beyond_mass=a.beyond_mass + b.beyond_mass)
 
 
+def _scan_in(arr: np.ndarray, floor: float) -> int:
+    """Index of the first entry of ``arr`` at or above ``floor`` (len(arr) if none).
+
+    The edges of a running law move by an atom or two per step, so the first
+    entries are tested one by one and the rest in chunks of doubling width.
+    """
+    for i in range(min(len(arr), 4)):
+        if arr[i] >= floor:
+            return i
+    lo, width = 4, 16
+    while lo < len(arr):
+        hit = np.flatnonzero(arr[lo:lo + width] >= floor)
+        if len(hit):
+            return lo + int(hit[0])
+        lo, width = lo + width, 2 * width
+    return len(arr)
+
+
+class _WeightedDP:
+    """Law of sum a_k Z_k, Z_k ~ Bernoulli(q_k), on the values 0..top, updated in place.
+
+    ``hi`` is the largest reachable value.  Values above ``nz`` have mass
+    exactly 0.0, so a step skips them and every mass stays bit-identical to
+    a step over the whole reachable range.  Mass shifted past ``top`` is
+    dropped; a caller that reports it sums it before the step.
+    """
+
+    def __init__(self, top: int):
+        self.law, self._tmp = np.zeros(top + 1), np.empty(top + 1)
+        self.law[0] = 1.0
+        self.top, self.hi, self.nz = top, 0, 0
+
+    def step(self, a: int, q: float) -> None:
+        if q == 0.0 or a == 0:  # a*Z = 0 almost surely: the law is unchanged
+            return
+        law, nz = self.law, self.nz
+        m = max(min(nz, self.top - a) + 1, 0)  # atoms whose shift stays at or below top
+        tmp = np.multiply(law[:m], q, out=self._tmp[:m])
+        law[: nz + 1] *= 1.0 - q
+        law[a: a + m] += tmp
+        edge = a + m - 1 if m else nz  # the largest index that can now hold mass
+        # 5e-324 is the smallest positive double, so this finds the last nonzero mass
+        self.nz = max(edge - _scan_in(law[edge::-1], 5e-324), 0)
+        self.hi = min(self.hi + a, self.top)
+
+
 def weighted_sum_law(weights: Sequence[int], probs: Sequence[float],
                      max_value: Optional[int] = None) -> SumLawTable:
     """Exact law of sum a_k Z_k with independent Z_k ~ Bernoulli(q_k).
@@ -185,34 +235,18 @@ def weighted_sum_law(weights: Sequence[int], probs: Sequence[float],
         top = min(top, max_value)
     if top + 1 > MAX_WINDOW:
         raise ResourceLimitError("value range exceeds memory budget")
-    law = np.zeros(top + 1)
-    law[0] = 1.0
-    hi = 0  # current largest reachable value
+    dp = _WeightedDP(top)
     beyond = 0.0
     for ak, qk in zip(a, q):
-        if qk == 0.0 or ak == 0:
-            if qk > 0 and ak == 0:
-                pass  # adds zero, law unchanged
-            continue
-        new_hi = min(hi + ak, top)
-        if ak <= top:
-            shifted = np.zeros(new_hi + 1)
-            src_hi = min(hi, top - ak)
-            shifted[ak:ak + src_hi + 1] = law[: src_hi + 1] * qk
-            if hi > src_hi:
-                beyond += float(law[src_hi + 1: hi + 1].sum()) * qk
-            out = law[: new_hi + 1] * (1.0 - qk)
-            out += shifted
-            law[: new_hi + 1] = out
-            law[new_hi + 1:] = 0.0
-        else:
-            beyond += float(law[: hi + 1].sum()) * qk
-            law[: hi + 1] *= 1.0 - qk
-        hi = new_hi
+        if dp.nz > top - ak:  # nonzero mass is pushed past top
+            # sum the whole reachable slice, zeros included: pairwise summation
+            # groups terms by the slice length
+            beyond += float(dp.law[max(top - ak + 1, 0): dp.hi + 1].sum()) * qk
+        dp.step(ak, qk)
     mu = float(np.dot(a, q))
     s2 = float(sum(ak * ak * qk * (1 - qk) for ak, qk in zip(a, q)))
     mu3 = float(sum(ak ** 3 * qk * (1 - qk) * (1 - 2 * qk) for ak, qk in zip(a, q)))
-    return SumLawTable(n=len(a), origin=0.0, D=1.0, offset=0, dense=law[: hi + 1].copy(),
+    return SumLawTable(n=len(a), origin=0.0, D=1.0, offset=0, dense=dp.law[: dp.hi + 1].copy(),
                        meta=MomentSummary(mu, s2, mu3), beyond_mass=beyond)
 
 
@@ -279,21 +313,41 @@ class RunningConvolution:
         self.lost_mass = 0.0
 
     def step(self) -> None:
-        self.probs = np.convolve(self.probs, self._base)
+        probs = np.convolve(self.probs, self._base)
         self.offset += self._base_off
         self.n += 1
-        keep = np.flatnonzero(self.probs >= self.floor)
-        if len(keep) and (keep[0] > 0 or keep[-1] < len(self.probs) - 1):
-            lo, hi = keep[0], keep[-1]
-            self.lost_mass += float(self.probs[:lo].sum() + self.probs[hi + 1:].sum())
-            self.probs = self.probs[lo:hi + 1].copy()
-            self.offset += int(lo)
+        # trim the edges below the floor; atoms inside stay whatever their size,
+        # and a window with no atom at the floor is kept whole
+        lo = _scan_in(probs, self.floor)
+        hi = len(probs) - _scan_in(probs[::-1], self.floor)
+        if lo < hi and (lo > 0 or hi < len(probs)):
+            self.lost_mass += float(probs[:lo].sum() + probs[hi:].sum())
+            probs = probs[lo:hi]
+            self.offset += lo
+        self.probs = probs
 
     def prob(self, index: int) -> float:
         i = index - self.offset
         if 0 <= i < len(self.probs):
             return float(self.probs[i])
         return 0.0
+
+
+def _visit_tables(P: np.ndarray, start: tuple[float, float], N: int):
+    """table[j, s] = P(j ones among xi_1..xi_nu, xi_nu = s) for nu = 1..N, on a 0/1 chain.
+
+    ``P`` is the transition matrix and ``start`` the law of xi_1.  Each yield
+    is a view of rows 0..nu of one preallocated table, which the next step
+    overwrites in place; table[0, 1] and the rows not yet reached stay 0.
+    """
+    table = np.zeros((max(N, 1) + 1, 2))
+    table[0, 0], table[1, 1] = start
+    yield table[:2]
+    for rows in range(2, N + 1):
+        stay, move = table[:rows] @ P[:, 0], table[:rows] @ P[:, 1]
+        table[:rows, 0] = stay
+        table[1: rows + 1, 1] = move
+        yield table[: rows + 1]
 
 
 def _lattice_cdf_pairs(law: SumLawTable, center: float, scale: float):

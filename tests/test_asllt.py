@@ -128,6 +128,12 @@ def test_asllt_expectation_close_to_target():
     assert abs(e - t) / t < 0.05
 
 
+def test_asllt_expectation_needs_horizon_two():
+    for N in (0, 1):
+        with pytest.raises(PreconditionError):
+            asl.asllt_expectation(bernoulli(0.5), 0.0, N)
+
+
 def test_asllt_mc_mean_matches_expectation():
     # mean over 200 short paths within 3 standard errors of the exact value
     p = bernoulli(0.5)
@@ -217,6 +223,20 @@ def test_markov_ones_pmf_brute_force():
     assert np.max(np.abs(got - dist)) < 1e-14
 
 
+def test_markov_transfer_tables_bit_identical_to_fresh_tables():
+    # reference: the transfer loop with a fresh table per step
+    for p01, p10 in ((0.4, 0.5), (0.15, 0.85), (0.9, 0.05)):
+        chain = asl.TwoStateChain(p01, p10)
+        P = chain.transition()
+        table = np.diag(chain.pi)
+        for nu in range(1, 120):
+            assert asl.markov_ones_pmf(chain, nu).tobytes() == table.sum(axis=1).tobytes()
+            nxt = np.zeros((table.shape[0] + 1, 2))
+            nxt[: table.shape[0], 0] = table @ P[:, 0]
+            nxt[1:, 1] = table @ P[:, 1]
+            table = nxt
+
+
 def test_markov_path_target_and_mc_vs_transfer_matrix():
     chain = asl.TwoStateChain(0.4, 0.5)
     path = asl.markov_asllt_path(chain, 0.0, 1000, seed=0)
@@ -235,6 +255,11 @@ def test_markov_path_target_and_mc_vs_transfer_matrix():
     freq = hits / draws
     se = math.sqrt(exact * (1 - exact) / draws)
     assert abs(freq - exact) <= 3 * se
+
+
+def test_markov_expectation_needs_horizon_two():
+    with pytest.raises(PreconditionError):
+        asl.markov_asllt_expectation(asl.TwoStateChain(0.4, 0.5), 0.0, 1)
 
 
 def test_markov_expectation_close():
@@ -273,6 +298,11 @@ def test_dickman_ratio_form_trend(rho):
         hits2[s] = np.sum(t == 2 * k)
     ratio = hits2.sum() / hits1.sum()
     assert abs(ratio - (1 - math.log(2))) < 0.12
+
+
+def test_dickman_expectation_needs_horizon_two(rho):
+    with pytest.raises(PreconditionError):
+        asl.dickman_expectation(1, 1.0, rho)
 
 
 def test_dickman_expectation_trend(rho):

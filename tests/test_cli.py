@@ -121,3 +121,12 @@ def test_console_script_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "delta_n.csv").exists()
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    # both are slow to import and the CLI does not need them at start
+    code = ("import sys, llt_lab.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

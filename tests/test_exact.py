@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from llt_lab.asllt import KappaRule, asllt_expectation, dickman_expectation, dickman_rho
 from llt_lab.errors import PreconditionError
 from llt_lab.exact import (
     RunningConvolution,
+    _convolve,
     convolve_tables,
     joint_law,
     lattice_cdf_sup_distance,
@@ -211,3 +213,135 @@ def test_running_convolution_matches_sum_law():
 def test_sum_law_precondition():
     with pytest.raises(PreconditionError):
         sum_law(bernoulli(0.5), 0)
+
+
+def _naive_weighted_law(a, q, top):
+    """Reference DP: one fresh array per step over the whole reachable range."""
+    law = np.zeros(top + 1)
+    law[0] = 1.0
+    hi, beyond = 0, 0.0
+    for ak, qk in zip(a, q):
+        if qk == 0.0 or ak == 0:
+            continue
+        new_hi = min(hi + ak, top)
+        if ak <= top:
+            src_hi = min(hi, top - ak)
+            shifted = np.zeros(new_hi + 1)
+            shifted[ak:ak + src_hi + 1] = law[:src_hi + 1] * qk
+            if hi > src_hi:
+                beyond += float(law[src_hi + 1:hi + 1].sum()) * qk
+            out = law[:new_hi + 1] * (1.0 - qk)
+            out += shifted
+            law = np.zeros(top + 1)
+            law[:new_hi + 1] = out
+        else:
+            beyond += float(law[:hi + 1].sum()) * qk
+            law = law * (1.0 - qk)
+        hi = new_hi
+    return law[:hi + 1], beyond
+
+
+def test_weighted_sum_law_bit_identical_to_naive_dp():
+    rng = seeded(21)
+    for case in range(120):
+        k = int(rng.integers(1, 25))
+        a = [int(v) for v in rng.integers(0, 20, size=k)]
+        # q = 1e-200 underflows every product with a small mass to exactly 0.0
+        q = [float(v) for v in rng.choice([0.0, 1.0, 0.01, 1e-200, rng.random()], size=k)]
+        if case % 3 == 0:
+            q = [float(v) for v in rng.random(k)]
+        total = sum(a)
+        for cap in (None, max(total - 7, 0), total, total + 5, max(max(a) - 1, 0)):
+            law = weighted_sum_law(a, q, max_value=cap)
+            dense, beyond = _naive_weighted_law(a, q, total if cap is None else min(total, cap))
+            assert law.dense.tobytes() == dense.tobytes(), (a, q, cap)
+            assert law.beyond_mass == beyond, (a, q, cap)
+
+
+def _reference_dickman_expectation(N, x):
+    """The Dickman expectation as a hand-written DP, one fresh array per step."""
+    cap = int(math.floor(x * N + 0.5)) + 1
+    law = np.zeros(cap + 1)
+    law[0] = 1.0
+    hi, acc = 0, 0.0
+    for n in range(1, N + 1):
+        q = 1.0 / n
+        new_hi = min(hi + n, cap)
+        if n <= cap:
+            src_hi = min(hi, cap - n)
+            out = law[:new_hi + 1] * (1.0 - q)
+            out[n:n + src_hi + 1] += law[:src_hi + 1] * q
+            law[:new_hi + 1] = out
+        else:
+            law[:hi + 1] *= 1.0 - q
+        hi = new_hi
+        kappa = math.floor(x * n + 0.5)
+        if kappa <= hi:
+            acc += law[kappa]
+    return acc / math.log(N)
+
+
+def test_dickman_expectation_bit_identical_to_reference_loop():
+    rho = dickman_rho(u_max=4.0)
+    for N in (2, 3, 17, 100, 300):
+        for x in (0.5, 1.0, 1.7, 3.0):
+            assert dickman_expectation(N, x, rho) == _reference_dickman_expectation(N, x), (N, x)
+
+
+class _FlatnonzeroRun:
+    """Reference running convolution: trim at flatnonzero(probs >= floor)."""
+
+    def __init__(self, p, floor):
+        self.base, self.base_off, self.floor = p.dense, p.offset, floor
+        self.offset, self.probs, self.lost_mass = 0, np.array([1.0]), 0.0
+
+    def step(self):
+        self.probs = np.convolve(self.probs, self.base)
+        self.offset += self.base_off
+        keep = np.flatnonzero(self.probs >= self.floor)
+        if len(keep) and (keep[0] > 0 or keep[-1] < len(self.probs) - 1):
+            lo, hi = keep[0], keep[-1]
+            self.lost_mass += float(self.probs[:lo].sum() + self.probs[hi + 1:].sum())
+            self.probs = self.probs[lo:hi + 1].copy()
+            self.offset += int(lo)
+
+
+def test_running_convolution_trim_matches_flatnonzero_reference():
+    gappy = LatticePmf(0.0, 1.0, {0: 0.5, 3: 1e-40, 9: 0.5 - 1e-40})
+    laws = [bernoulli(0.5), bernoulli(0.03), uniform_range(-2, 3), gappy]
+    # floor 1.0 puts every atom below the floor: such a window is never trimmed
+    for p, floor in [(p, 1e-30) for p in laws] + [(gappy, 1e-3), (bernoulli(0.5), 1.0)]:
+        run, ref = RunningConvolution(p, floor=floor), _FlatnonzeroRun(p, floor)
+        for _ in range(300):
+            run.step()
+            ref.step()
+            assert run.offset == ref.offset
+            assert run.probs.tobytes() == ref.probs.tobytes()
+            assert run.lost_mass == ref.lost_mass
+    # interior atoms below the floor stay in the window
+    run = RunningConvolution(gappy, floor=1e-3)
+    run.step()
+    run.step()
+    assert (run.offset, len(run.probs)) == (0, 19)
+    assert 0.0 < run.prob(6) < run.prob(3) < 1e-3
+
+
+def test_asllt_expectation_matches_per_step_targets():
+    for p, kappa in ((bernoulli(0.5), 0.37), (uniform_range(0, 4), -1.1), (bernoulli(0.2), 0.0)):
+        rule = KappaRule.for_pmf(p, kappa)
+        run = RunningConvolution(p)
+        acc = 0.0
+        for n in range(1, 2001):
+            run.step()
+            acc += run.prob(int(rule.index(n))) / math.sqrt(n)
+        assert asllt_expectation(p, kappa, 2000) == acc / math.log(2000)
+
+
+def test_fft_convolution_bit_identical_to_scipy_signal():
+    from scipy.signal import fftconvolve
+
+    rng = seeded(5)
+    for la, lb in ((1, 5000), (3, 4097), (700, 10_000), (5000, 5000), (8193, 6000)):
+        a, b = rng.random(la), rng.random(lb)
+        want = np.maximum(fftconvolve(a, b), 0.0)
+        assert _convolve(a, b, "fft").tobytes() == want.tobytes(), (la, lb)
