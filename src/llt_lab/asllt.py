@@ -250,7 +250,14 @@ def markov_kappa_indices(chain: TwoStateChain, kappa: float, n) -> np.ndarray:
 
 
 def markov_ones_pmf(chain: TwoStateChain, nu: int) -> np.ndarray:
-    """Exact pmf of the number of ones among xi_1..xi_nu (stationary start)."""
+    """Exact pmf of the number of ones among xi_1..xi_nu (stationary start).
+
+    For nu = 0 the count is 0 almost surely; nu < 0 raises PreconditionError.
+    """
+    if nu < 0:
+        raise PreconditionError("markov_ones_pmf requires nu >= 0")
+    if nu == 0:
+        return np.array([1.0])
     *_, table = _visit_tables(chain.transition(), chain.pi, nu)
     return table.sum(axis=1)
 
@@ -463,8 +470,12 @@ def asllt_dickman_path(N: int, seed: int, rho: DickmanRho, x: float = 1.0) -> Pa
                         kappa_desc=f"round({x} n)")
 
 
-def dickman_expectation(N: int, x: float, rho: DickmanRho) -> float:
-    """Exact (1/log N) sum_{n<=N} P{T_n = round(x n)} via the running DP."""
+def dickman_expectation(N: int, x: float, rho: Optional[DickmanRho] = None) -> float:
+    """Exact (1/log N) sum_{n<=N} P{T_n = round(x n)} via the running DP.
+
+    ``rho`` is ignored: the exact expectation needs no Dickman table.  It is
+    kept so that calls passing one still work.
+    """
     _require_horizon(N)
     dp = _WeightedDP(int(math.floor(x * N + 0.5)) + 1)
     acc = 0.0

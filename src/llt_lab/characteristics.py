@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import PreconditionError
 from .lattice import LatticePmf, LatticeWindow, adjacent_overlap
@@ -78,34 +77,29 @@ def _nearest_int_sq(x: np.ndarray) -> np.ndarray:
     return frac * frac
 
 
-def mukhin_D(p: LatticePmf, d: float, grid_step: float = 1e-4,
-             refine_tol: float = 1e-8) -> float:
+def mukhin_D(p: LatticePmf, d: float) -> float:
     """inf_a E<(X-a)d>^2 with <.> the distance to the nearest integer.
 
-    The objective is periodic in a with period 1/|d| and piecewise quadratic
-    with kinks, so one period is scanned on a fixed grid and the best cell is
-    refined by bounded golden-section search.
+    With b = a*d and y = X*d the objective F(b) = E<y - b>^2 has period 1 in
+    b, and the nearest integer k_j to y_j - b only jumps at the kinks
+    b = y_j - 1/2 (mod 1).  Between two kinks the k_j are fixed and F is the
+    quadratic E(y - k - b)^2, least at b = E(y - k).  No such minimum lies
+    below inf F, since <x>^2 <= (x - k)^2 for every integer k, and the piece
+    that holds the minimiser of F attains it; so the smallest of the piece
+    minima is the exact minimum (O(width^2) work).
     """
     supp, masses = _integer_atoms(p)
     if abs(d) > 0.5 + 1e-15:
         raise PreconditionError("mukhin_D requires |d| <= 1/2")
     if d == 0.0:
         return 0.0
-    xd = supp * d
-
-    def objective(a: float) -> float:
-        return float(np.dot(masses, _nearest_int_sq(xd - a * d)))
-
-    period = 1.0 / abs(d)
-    grid = np.arange(0.0, period, grid_step)
-    # one period scanned in a single matrix pass
-    vals = _nearest_int_sq(xd[None, :] - np.outer(grid, [d])) @ masses
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)] - (grid_step if i == 0 else 0.0)
-    hi = grid[min(i + 1, len(grid) - 1)] + (grid_step if i == len(grid) - 1 else 0.0)
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                          options={"xatol": refine_tol})
-    return float(min(res.fun, vals[i]))
+    y = supp * d
+    kinks = np.sort((y - 0.5) % 1.0)
+    # the midpoint of each piece between consecutive kinks; the last piece wraps round
+    mids = 0.5 * (kinks + np.append(kinks[1:], kinks[0] + 1.0))
+    r = y - np.round(y - mids[:, None])  # y - k on each piece
+    r -= ((r @ masses) / masses.sum())[:, None]
+    return float(np.min((r * r) @ masses))
 
 
 def mukhin_H(p: LatticePmf, d: float) -> float:

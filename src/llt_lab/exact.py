@@ -11,6 +11,7 @@ floor whose dropped mass is reported, never hidden.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -90,6 +91,7 @@ def _floor_small(arr: np.ndarray) -> tuple[np.ndarray, float]:
     return arr, lost
 
 
+@functools.lru_cache(maxsize=8)
 def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
             method: str = "auto") -> SumLawTable:
     """Exact law of S_n = X_1 + ... + X_n for i.i.d. X_j ~ p.
@@ -98,6 +100,9 @@ def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
     index window; it is only allowed for laws supported on nonnegative
     indices, where overflow mass can never re-enter the window, so stored
     values stay exact.  ``method`` is "auto", "direct" or "fft".
+
+    The last few results are reused: a call with the same law object and
+    arguments returns the same table, whose mass array is read-only.
     """
     if n < 1:
         raise PreconditionError("sum_law requires n >= 1")
@@ -143,6 +148,9 @@ def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
     # window masses are exact under a cap, so the pushed-out mass is the
     # conservation deficit (intermediate caps do not track descendants)
     beyond = max(0.0, 1.0 - float(acc.sum()) - lost) if max_index is not None else 0.0
+    if acc.base is not None:  # a capped view: keep only the window, not the whole product
+        acc = acc.copy()
+    acc.flags.writeable = False
     mom = moments(p)
     meta = MomentSummary(
         mu=None if mom.mu is None else n * mom.mu,

@@ -2,8 +2,10 @@
 
 A lattice pmf lives on the point set {v0 + k*D : k in Z} and is stored as
 one dense window of masses over the index range offset .. offset+len-1; the
-exact engine's sum tables share that form (``LatticeWindow``).  Objects are
-treated as immutable after construction.
+exact engine's sum tables share that form (``LatticeWindow``).  Laws are
+immutable: every ``LatticePmf`` window is a read-only array, and so is the
+mass array of every table that ``exact.sum_law`` returns (it may be shared
+by several callers).
 """
 
 from __future__ import annotations
@@ -148,6 +150,7 @@ class LatticePmf(LatticeWindow):
         last = len(dense) - int(positive[::-1].argmax())
         self.v0, self.D, self.family = v0, D, family
         self.offset, self.dense = offset + first, dense[first:last]
+        self.dense.flags.writeable = False
 
     # -- views ---------------------------------------------------------------
 

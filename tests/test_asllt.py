@@ -370,3 +370,16 @@ def test_paths_csv(tmp_path, rho):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "kind,seed,N,estimate,target"
     assert len(lines) == 1 + sum(len(p.checkpoints) for p in paths)
+
+
+def test_markov_ones_pmf_empty_and_negative_horizon():
+    chain = asl.TwoStateChain(0.4, 0.5)
+    assert asl.markov_ones_pmf(chain, 0).tolist() == [1.0]
+    for nu in (-1, -3):
+        with pytest.raises(PreconditionError):
+            asl.markov_ones_pmf(chain, nu)
+
+
+def test_dickman_expectation_ignores_rho(rho):
+    for N, x in ((2, 1.0), (50, 0.5), (400, 1.7)):
+        assert asl.dickman_expectation(N, x).hex() == asl.dickman_expectation(N, x, rho).hex()

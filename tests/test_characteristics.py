@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from llt_lab import characteristics as ch
 from llt_lab.errors import PreconditionError
 from llt_lab.exact import sum_law
-from llt_lab.gen import random_pmf, seeded
+from llt_lab.gen import mixing_span1_pmf, random_adjacent_pmf, random_pmf, seeded
 from llt_lab.lattice import (
     LatticePmf,
     bernoulli,
@@ -194,3 +195,38 @@ def test_integer_form_required():
 
 def test_integral_origin_folds_into_index():
     assert ch.delta_char(LatticePmf(2.0, 1.0, {0: 0.5, 1: 0.5})) == 1.0
+
+
+def _grid_mukhin_D(p, d, grid_step=1e-4, refine_tol=1e-8):
+    """Reference: scan one period of a on a grid, refine by golden-section search."""
+    off, w = p.integer_view()
+    nz = np.flatnonzero(w > 0)
+    xd, masses = (off + nz) * d, w[nz]
+
+    def sq(x):
+        frac = x - np.round(x)
+        return frac * frac
+
+    grid = np.arange(0.0, 1.0 / abs(d), grid_step)
+    vals = sq(xd[None, :] - np.outer(grid, [d])) @ masses
+    i = int(np.argmin(vals))
+    lo = grid[max(i - 1, 0)] - (grid_step if i == 0 else 0.0)
+    hi = grid[min(i + 1, len(grid) - 1)] + (grid_step if i == len(grid) - 1 else 0.0)
+    res = minimize_scalar(lambda a: float(np.dot(masses, sq(xd - a * d))), bounds=(lo, hi),
+                          method="bounded", options={"xatol": refine_tol})
+    return float(min(res.fun, vals[i]))
+
+
+def test_mukhin_D_matches_grid_search_oracle():
+    rng = seeded(2024)
+    draws = (random_pmf, random_adjacent_pmf, mixing_span1_pmf)
+    for i in range(210):
+        p = draws[i % 3](rng).relabel()
+        for d in (0.5, 0.25, 0.125, 1.0 / 3.0, 0.37, -0.2):
+            new, old = ch.mukhin_D(p, d), _grid_mukhin_D(p, d)
+            assert abs(new - old) <= 1e-14 * max(1.0, old), (i, d, new, old)
+            assert new <= old + 1e-15, (i, d, new, old)  # the exact minimum is never above
+
+
+def test_mukhin_D_bernoulli_half_is_exact():
+    assert ch.mukhin_D(bernoulli(0.5), 0.5) == 0.0625

@@ -345,3 +345,43 @@ def test_fft_convolution_bit_identical_to_scipy_signal():
         a, b = rng.random(la), rng.random(lb)
         want = np.maximum(fftconvolve(a, b), 0.0)
         assert _convolve(a, b, "fft").tobytes() == want.tobytes(), (la, lb)
+
+
+def test_law_arrays_are_read_only():
+    p = uniform_range(0, 4)
+    with pytest.raises(ValueError):
+        p.dense[0] = 0.5
+    law = sum_law(p, 6)
+    with pytest.raises(ValueError):
+        law.dense[0] = 0.5
+    with pytest.raises(ValueError):
+        law.dense *= 2.0
+    capped = sum_law(p, 6, max_index=10)
+    with pytest.raises(ValueError):
+        capped.dense[-1] = 0.0
+    assert capped.dense.base is None  # the capped window does not hold the whole product
+
+
+def test_repeated_sum_law_is_bytes_equal():
+    rng = seeded(41)
+    for p in [bernoulli(0.3), uniform_range(-2, 3)] + [random_pmf(rng) for _ in range(4)]:
+        capped = ((64, 64 * p.offset + 40),) if p.offset >= 0 else ()
+        for n, cap in ((1, None), (9, None), (64, None), (300, None)) + capped:
+            first = sum_law(p, n, max_index=cap)
+            assert sum_law(p, n, max_index=cap) is first  # a repeated call reuses the table
+            sum_law.cache_clear()
+            again = sum_law(p, n, max_index=cap)
+            assert first.dense.tobytes() == again.dense.tobytes()
+            assert (first.offset, first.lost_mass, first.beyond_mass) == \
+                (again.offset, again.lost_mass, again.beyond_mass)
+
+
+def test_equal_laws_give_bytes_equal_tables():
+    masses = {-1: 0.2, 0: 0.45, 2: 0.35}
+    p, q = LatticePmf(0.5, 1.0, masses), LatticePmf(0.5, 1.0, masses)
+    assert p is not q
+    for n in (1, 7, 128, 2000):
+        a, b = sum_law(p, n), sum_law(q, n)
+        assert a.dense.tobytes() == b.dense.tobytes()
+        assert (a.offset, a.origin, a.lost_mass, a.beyond_mass, a.meta) == \
+            (b.offset, b.origin, b.lost_mass, b.beyond_mass, b.meta)
