@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     UnsupportedParameterError,
 )
-from .exact import SumLawTable, residues_mod, sum_law, sup_cdf_distance
+from .exact import SumLawTable, sum_law, sup_cdf_distance
 from .lattice import SQRT_2PI, LatticePmf, char_fn, maximal_span, moments
 
 
@@ -272,26 +272,14 @@ class StableParams:
     def b_n(self, n: int) -> float:
         return (n * self.c) ** (1.0 / self.alpha)
 
-    def cf(self, t: np.ndarray) -> np.ndarray:
-        """Limit characteristic function of the normalised positive-tail sums.
-
-        exp{-G(1-a) cos(pi a/2) |t|^a (1 - i sgn(t) tan(pi a/2))} for the
-        one-sided branch (skew tan factor reduces to 1 at a = 1/2), and the
-        same magnitude with zero skew for the symmetric variant.
-        """
-        coeff = gamma_fn(1.0 - self.alpha) * math.cos(math.pi * self.alpha / 2.0)
-        mag = coeff * np.abs(t) ** self.alpha
-        if self.one_sided:
-            skew = math.tan(math.pi * self.alpha / 2.0)
-            return np.exp(-mag * (1.0 - 1j * skew * np.sign(t)))
-        return np.exp(-mag)
-
 
 def stable_density(params: StableParams, x: float, abs_tol: float = 1e-9) -> float:
     """Density of the stable limit law by Fourier inversion.
 
-    g(x) = (1/pi) Re int_0^T e^{-itx} f(t) dt with the cutoff T placed where
-    |f| < 1e-14; the oscillatory factor is handled by weighted quadrature.
+    g(x) = (1/pi) Re int_0^T e^{-itx} f(t) dt, where f(t) = exp{-G(1-a)
+    cos(pi a/2) t^a (1 - i tan(pi a/2))} for t > 0 (no skew term for the
+    symmetric variant), with the cutoff T placed where |f| < 1e-14; the
+    oscillatory factor is handled by weighted quadrature.
     Values below -1e-8 raise; small negative quadrature noise clips to 0.
     """
     coeff = gamma_fn(1.0 - params.alpha) * math.cos(math.pi * params.alpha / 2.0)
@@ -361,14 +349,9 @@ class StableDensityTable:
                          left=0.0, right=0.0)
 
 
-_density_tables: dict = {}
-
-
-def _density_table(params: StableParams, x_max: float) -> StableDensityTable:
-    key = (params.alpha, params.one_sided, x_max)
-    if key not in _density_tables:
-        _density_tables[key] = StableDensityTable(params, x_max=x_max)
-    return _density_tables[key]
+@lru_cache(maxsize=None)
+def _density_table(alpha: float, one_sided: bool, x_max: float) -> StableDensityTable:
+    return StableDensityTable(StableParams(alpha=alpha, one_sided=one_sided), x_max=x_max)
 
 
 def stable_llt_error(p: LatticePmf, n: int, x_max: float = 60.0) -> ApproxReport:
@@ -388,7 +371,7 @@ def stable_llt_error(p: LatticePmf, n: int, x_max: float = 60.0) -> ApproxReport
         raise PreconditionError("family truncated below the comparison window")
     law = sum_law(p, n, max_index=cap)
     correction = (1.0 - p.discarded_mass) ** n
-    table = _density_table(params, x_max)
+    table = _density_table(params.alpha, params.one_sided, x_max)
     k = law.offset + np.arange(len(law.dense))
     vals = bn * law.dense * correction
     g = table(k / bn)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -24,37 +25,49 @@ from .rng import stream
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Joint law of (V, eps) realising X = V + eps*D*L with P(eps=1) = theta."""
+    """Joint law of (V, eps) realising X = V + eps*D*L with P(eps=1) = theta.
+
+    ``law`` is the law of V + (D/2) eps on the half-span lattice v0 + (D/2)Z:
+    the atom (v_k, eps) sits at index 2k + eps.
+    """
 
     source: LatticePmf
     theta: float
-    tau: dict            # k -> tau_k
-    joint: dict          # (k, eps) -> mass
+    law: LatticePmf
+
+    def _atoms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(k, eps, mass) of the positive atoms, ascending in (k, eps)."""
+        idx, masses = self.law.atoms()
+        k, eps = np.divmod(idx, 2)
+        return k, eps, masses
+
+    @property
+    def tau(self) -> Mapping[int, float]:
+        """Read-only k -> tau_k view of the positive coin masses."""
+        return MappingProxyType({k: m for (k, e), m in self.joint.items() if e == 1})
+
+    @property
+    def joint(self) -> Mapping[tuple[int, int], float]:
+        """Read-only (k, eps) -> mass view of the positive atoms."""
+        k, eps, masses = self._atoms()
+        return MappingProxyType(dict(zip(zip(k.tolist(), eps.tolist()), masses.tolist())))
 
     def v_eps_pmf(self) -> LatticePmf:
         """Law of V + (D/2) eps on the half-span lattice (index 2k + eps)."""
-        weights: dict[int, float] = {}
-        for (k, e), mass in self.joint.items():
-            if mass > 0:
-                weights[2 * k + e] = weights.get(2 * k + e, 0.0) + mass
-        return LatticePmf(self.source.v0, self.source.D / 2.0, weights)
+        return self.law
 
     def reconstructed(self) -> LatticePmf:
         """Exact law of V + eps*D*L; equals the source pmf."""
-        weights: dict[int, float] = {}
-        for (k, e), mass in self.joint.items():
-            if mass <= 0:
-                continue
-            if e == 0:
-                weights[k] = weights.get(k, 0.0) + mass
-            else:
-                weights[k] = weights.get(k, 0.0) + mass / 2.0
-                weights[k + 1] = weights.get(k + 1, 0.0) + mass / 2.0
-        return LatticePmf(self.source.v0, self.source.D, weights)
+        k, eps, masses = self._atoms()
+        by_eps = np.zeros((2, k[-1] - k[0] + 2))  # row eps, column k - k_min
+        by_eps[eps, k - k[0]] = masses
+        half = by_eps[1] / 2.0
+        full = (np.append(0.0, half[:-1]) + half) + by_eps[0]
+        return LatticePmf._from_window(self.source.v0, self.source.D, int(k[0]), full)
 
     def to_json(self) -> str:
-        tau = [[k, v] for k, v in sorted(self.tau.items()) if v > 0]
-        joint = [[k, e, m] for (k, e), m in sorted(self.joint.items()) if m > 0]
+        joint = [[k, e, m] for (k, e), m in self.joint.items()]
+        tau = [[k, m] for k, e, m in joint if e == 1]
         return json.dumps({"theta": self.theta, "tau": tau, "joint": joint})
 
 
@@ -71,28 +84,18 @@ def decompose(p: LatticePmf, theta: Optional[float] = None) -> Decomposition:
         theta = tmax
     if not 0.0 < theta <= tmax + 1e-15:
         raise PreconditionError(f"theta must lie in (0, {tmax}]")
-    scale = theta / tmax
-    off, w = p.offset, p.dense
-    tau = {}
-    for i in range(len(w) - 1):
-        m = min(w[i], w[i + 1]) * scale
-        if m > 0:
-            tau[off + i] = m
-    joint = {}
-    for i, fk in enumerate(w):
-        if fk <= 0 and tau.get(off + i - 1, 0.0) <= 0 and tau.get(off + i, 0.0) <= 0:
-            continue
-        k = off + i
-        t_here = tau.get(k, 0.0)
-        t_left = tau.get(k - 1, 0.0)
-        rest = fk - 0.5 * (t_left + t_here)
-        if rest < -1e-15:
-            raise PreconditionError(f"tau constraint violated at k={k}")
-        if t_here > 0:
-            joint[(k, 1)] = t_here
-        if rest > 0:
-            joint[(k, 0)] = max(rest, 0.0)
-    return Decomposition(source=p, theta=float(theta), tau=tau, joint=joint)
+    w = p.dense
+    tau = np.minimum(w[:-1], w[1:]) * (theta / tmax)
+    padded = np.concatenate(([0.0], tau, [0.0]))
+    rest = w - 0.5 * (padded[:-1] + padded[1:])
+    bad = np.flatnonzero(rest < -1e-15)
+    if len(bad):
+        raise PreconditionError(f"tau constraint violated at k={p.offset + int(bad[0])}")
+    joint = np.zeros(2 * len(w) - 1)
+    # rounding residues in (-1e-15, 0) are clipped to 0 by the window validation
+    joint[0::2], joint[1::2] = rest, tau
+    law = LatticePmf._from_window(p.v0, p.D / 2.0, 2 * p.offset, joint)
+    return Decomposition(source=p, theta=float(theta), law=law)
 
 
 def sample_decomposed_sum(decomp: Decomposition, n: int, seed: int) -> tuple[float, int, int]:
@@ -100,16 +103,12 @@ def sample_decomposed_sum(decomp: Decomposition, n: int, seed: int) -> tuple[flo
     if n == 0:
         return (0.0, 0, 0)
     rng = stream(seed)
-    keys = sorted(decomp.joint)
-    masses = np.array([decomp.joint[k] for k in keys])
-    masses = masses / masses.sum()
-    idx = rng.choice(len(keys), size=n, p=masses)
-    ks = np.array([keys[i][0] for i in idx])
-    eps = np.array([keys[i][1] for i in idx])
+    k, eps, masses = decomp._atoms()
+    idx = rng.choice(len(masses), size=n, p=masses / masses.sum())
     coins = rng.integers(0, 2, size=n)
-    w_n = float(np.sum(decomp.source.v0 + decomp.source.D * ks))
-    b_n = int(eps.sum())
-    m_n = int((eps * coins).sum())
+    w_n = float(np.sum(decomp.source.v0 + decomp.source.D * k[idx]))
+    b_n = int(eps[idx].sum())
+    m_n = int((eps[idx] * coins).sum())
     return (w_n, b_n, m_n)
 
 

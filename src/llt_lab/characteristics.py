@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict
 
 import numpy as np
@@ -65,8 +66,12 @@ def theta_char(p: LatticePmf) -> float:
     return adjacent_overlap(p)
 
 
+@lru_cache(maxsize=8)
 def symmetrized(p: LatticePmf) -> LatticePmf:
-    """Law of X - X' for an independent copy X' (exact self-correlation)."""
+    """Law of X - X' for an independent copy X' (exact self-correlation).
+
+    Keeps its last 8 results, keyed on the law object, as ``exact.sum_law`` does.
+    """
     _, w = p.integer_view()
     conv = np.convolve(w, w[::-1])
     return LatticePmf._from_window(0.0, 1.0, 1 - len(w), conv / conv.sum())
@@ -140,17 +145,17 @@ def mukhin_hn_ratio(pmfs: list[LatticePmf], delta_n: float) -> float:
     """
     b2 = 0.0
     l3 = 0.0
-    hn_terms = []
+    d_grid = np.linspace(0.25, 0.5, 41)
+    hn_grid = np.zeros(len(d_grid))  # sum over summands of H(X_j, d), in summand order
     for p in pmfs:
         supp, masses = _integer_atoms(p)
         mu = float(np.dot(masses, supp))
         b2 += float(np.dot(masses, (supp - mu) ** 2))
         l3 += float(np.dot(masses, np.abs(supp - mu) ** 3))
-        hn_terms.append(p)
+        hn_grid += [mukhin_H(p, d) for d in d_grid]
     bn = math.sqrt(b2)
     ln = l3 / bn ** 3
-    d_grid = np.linspace(0.25, 0.5, 41)
-    hn = min(sum(mukhin_H(p, d) for p in hn_terms) for d in d_grid)
+    hn = float(hn_grid.min())
     if hn == 0:
         return math.inf
     return delta_n / (ln * bn / hn)

@@ -53,10 +53,12 @@ def parse_dist(spec: str) -> LatticePmf:
 
 
 def parse_grid(text: str) -> list[int]:
-    """Dyadic range "a..b" (doubling) or explicit comma list."""
+    """Dyadic range "a..b" (doubling, 1 <= a <= b) or explicit comma list."""
     if ".." in text:
         a, _, b = text.partition("..")
         lo, hi = int(a), int(b)
+        if not 1 <= lo <= hi:
+            raise LltLabError(f"dyadic range {text!r} needs 1 <= a <= b")
         out = []
         n = lo
         while n <= hi:

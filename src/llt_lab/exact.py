@@ -34,7 +34,7 @@ from .lattice import (
 DIRECT_CONV_LIMIT = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SumLawTable(LatticeWindow):
     """Exact pmf of a partial sum S_n on the lattice origin + D*Z, origin = n*v0.
 
@@ -42,7 +42,8 @@ class SumLawTable(LatticeWindow):
     readable as ``probs``).  ``lost_mass`` accumulates underflow drops;
     ``beyond_mass`` is the mass pushed past an explicit support cap (only
     possible for laws on nonnegative indices, where it can never flow back
-    into the window).
+    into the window).  Like ``LatticePmf``, a table compares and hashes by
+    identity, so memoised functions accept it.
     """
 
     n: int
@@ -240,6 +241,8 @@ def weighted_sum_law(weights: Sequence[int], probs: Sequence[float],
         raise PreconditionError("probs q_k must lie in [0,1]")
     top = sum(a)
     if max_value is not None:
+        if max_value < 0:
+            raise PreconditionError("max_value must be nonnegative")
         top = min(top, max_value)
     if top + 1 > MAX_WINDOW:
         raise ResourceLimitError("value range exceeds memory budget")

@@ -19,7 +19,7 @@ POISSON_K_CAP = 200
 
 
 def poisson_pmf(lam: float, k_max: int | None = None) -> np.ndarray:
-    """Poisson masses 0..K with tail below POISSON_TAIL (K capped at 200)."""
+    """Poisson masses 0..K with tail below POISSON_TAIL; K may not pass POISSON_K_CAP."""
     if lam < 0:
         raise PreconditionError("Poisson mean must be nonnegative")
     out = [math.exp(-lam)]
@@ -30,6 +30,9 @@ def poisson_pmf(lam: float, k_max: int | None = None) -> np.ndarray:
         k += 1
         out.append(out[-1] * lam / k)
         total += out[-1]
+    if 1.0 - total > POISSON_TAIL:
+        raise PreconditionError(f"Poisson({lam}) tail {1.0 - total:.3g} is still above "
+                                f"{POISSON_TAIL} at k = {POISSON_K_CAP}")
     return np.array(out)
 
 

@@ -17,7 +17,7 @@ from . import characteristics as ch
 from . import poisson as ps
 from .approx import delta_n, variation_distance
 from .asllt import dickman_rho
-from .exact import convolve_tables, sum_law, weighted_sum_law
+from .exact import convolve_tables, sum_law
 from .gen import mixing_span1_pmf, random_adjacent_pmf, random_pmf, seeded
 from .lattice import LatticePmf, bernoulli, char_fn, moments
 
@@ -52,38 +52,20 @@ def _mixture_law(dec, n: int) -> LatticePmf:
     """Exact law of W_n + D * M_n by conditioning on the eps count."""
     from scipy.stats import binom
 
-    joint = dec.joint
-    theta = dec.theta
-    # law of V conditional on eps value, as index->mass maps
-    v1 = {k: m / theta for (k, e), m in joint.items() if e == 1}
-    v0 = {k: m / (1 - theta) for (k, e), m in joint.items() if e == 0}
-    acc: dict[int, float] = {0: 1.0}
-
-    def conv(a: dict, b: dict) -> dict:
-        out: dict[int, float] = {}
-        for ka, ma in a.items():
-            for kb, mb in b.items():
-                out[ka + kb] = out.get(ka + kb, 0.0) + ma * mb
-        return out
-
-    # enumerate eps patterns by count; V draws are exchangeable given counts
-    total: dict[int, float] = {}
+    theta, w = dec.theta, dec.law.dense
+    # laws of V given eps = 1, 0: for theta <= theta_X both end atoms have
+    # eps = 0, so the window runs over the indices 2k_min .. 2k_max
+    v1, v0 = w[1::2] / theta, w[0::2] / (1 - theta)
+    total = 0.0
+    # V draws are exchangeable given the eps count
     for count in range(n + 1):
-        w_count = float(binom.pmf(count, n, theta))
-        if w_count == 0:
-            continue
-        law = {0: 1.0}
-        for _ in range(count):
-            law = conv(law, v1)
-        for _ in range(n - count):
-            law = conv(law, v0)
+        law = np.ones(1)
+        for v in [v1] * count + [v0] * (n - count):
+            law = np.convolve(law, v)
         # add D * Binomial(count, 1/2) in index steps of 1
-        coin = {j: float(binom.pmf(j, count, 0.5)) for j in range(count + 1)}
-        law = conv(law, coin)
-        for k, m in law.items():
-            total[k] = total.get(k, 0.0) + w_count * m
-    weights = {k: m for k, m in total.items() if m > 0}
-    return LatticePmf(dec.source.v0 * n, dec.source.D, weights)
+        law = np.convolve(law, binom.pmf(np.arange(count + 1), count, 0.5))
+        total = total + binom.pmf(count, n, theta) * law
+    return LatticePmf._from_window(dec.source.v0 * n, dec.source.D, n * dec.source.offset, total)
 
 
 def inequalities_suite(cases: int = 40, seed: int = 77) -> list[Check]:

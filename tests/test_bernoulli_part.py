@@ -50,6 +50,98 @@ def test_decompose_invariants_random():
             assert tv_between(dec.reconstructed(), p) < 1e-14
 
 
+def _dict_decompose(p, theta):
+    """The dict-keyed coupling (tau_k and (k, eps) -> mass), kept as the reference."""
+    tmax = bp.theta_max(p)
+    theta = tmax if theta is None else theta
+    scale = theta / tmax
+    off, w = p.offset, p.dense
+    tau = {}
+    for i in range(len(w) - 1):
+        m = min(w[i], w[i + 1]) * scale
+        if m > 0:
+            tau[off + i] = m
+    joint = {}
+    for i, fk in enumerate(w):
+        k = off + i
+        rest = fk - 0.5 * (tau.get(k - 1, 0.0) + tau.get(k, 0.0))
+        if tau.get(k, 0.0) > 0:
+            joint[(k, 1)] = tau[k]
+        if rest > 0:
+            joint[(k, 0)] = rest
+    return float(theta), tau, joint
+
+
+def _dict_laws(p, joint):
+    """(v_eps_pmf, reconstructed) built from the joint dict by the reference loops."""
+    half, full = {}, {}
+    for (k, e), mass in joint.items():
+        half[2 * k + e] = half.get(2 * k + e, 0.0) + mass
+        if e == 0:
+            full[k] = full.get(k, 0.0) + mass
+        else:
+            full[k] = full.get(k, 0.0) + mass / 2.0
+            full[k + 1] = full.get(k + 1, 0.0) + mass / 2.0
+    return LatticePmf(p.v0, p.D / 2.0, half), LatticePmf(p.v0, p.D, full)
+
+
+def _dict_sample(p, joint, n, seed):
+    from llt_lab.rng import stream
+
+    rng = stream(seed)
+    keys = sorted(joint)
+    masses = np.array([joint[k] for k in keys])
+    idx = rng.choice(len(keys), size=n, p=masses / masses.sum())
+    ks = np.array([keys[i][0] for i in idx])
+    eps = np.array([keys[i][1] for i in idx])
+    coins = rng.integers(0, 2, size=n)
+    return (float(np.sum(p.v0 + p.D * ks)), int(eps.sum()), int((eps * coins).sum()))
+
+
+def _same_window(a, b):
+    return (a.v0, a.D, a.offset, a.dense.tobytes()) == (b.v0, b.D, b.offset, b.dense.tobytes())
+
+
+def test_decomposition_window_matches_dict_reference():
+    rng = seeded(66)
+    for case in range(306):
+        base = random_adjacent_pmf(rng, max_atoms=int(rng.integers(2, 11)))
+        shift = int(rng.integers(-9, 10))
+        p = LatticePmf(float(rng.integers(-3, 4)), float(rng.choice([0.5, 1.0, 3.0])),
+                       {k + shift: m for k, m in base.weights.items()})
+        for frac in (0.3, 0.7, 0.95, None):
+            theta = None if frac is None else frac * bp.theta_max(p)
+            dec = bp.decompose(p, theta)
+            ref_theta, tau, joint = _dict_decompose(p, theta)
+            half, full = _dict_laws(p, joint)
+            assert _same_window(dec.v_eps_pmf(), half)
+            assert _same_window(dec.reconstructed(), full)
+            assert dec.tau == tau and dec.joint == joint
+            assert list(dec.joint) == sorted(joint)
+            ref_json = json.dumps({
+                "theta": ref_theta,
+                "tau": [[k, v] for k, v in sorted(tau.items())],
+                "joint": [[k, e, m] for (k, e), m in sorted(joint.items())]})
+            assert dec.to_json() == ref_json
+            n, seed = 1 + case % 7, 1000 + case
+            assert bp.sample_decomposed_sum(dec, n, seed) == _dict_sample(p, joint, n, seed)
+
+
+def test_decomposition_views_are_read_only():
+    dec = bp.decompose(bernoulli(0.3))
+    with pytest.raises(TypeError):
+        dec.tau[0] = 0.0
+    with pytest.raises(TypeError):
+        dec.joint[(0, 1)] = 0.0
+    assert not dec.law.dense.flags.writeable
+
+
+def test_sprime_law_is_memoised():
+    dec = bp.decompose(random_adjacent_pmf(seeded(67)))
+    assert dec.v_eps_pmf() is dec.v_eps_pmf()
+    assert bp.exact_Sprime_law(dec, 6) is bp.exact_Sprime_law(dec, 6)
+
+
 def test_decompose_rejects_sublattice():
     span2 = LatticePmf(0.0, 1.0, {0: 0.5, 2: 0.5})
     with pytest.raises(NoBernoulliComponentError):

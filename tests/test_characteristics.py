@@ -186,6 +186,38 @@ def test_mukhin_hn_ratio_is_finite_diagnostic():
     assert math.isfinite(r) and r >= 0.0
 
 
+def test_symmetrized_is_memoised():
+    p = random_adjacent_pmf(seeded(90))
+    assert ch.symmetrized(p) is ch.symmetrized(p)
+    fresh = ch.symmetrized.__wrapped__(p)
+    assert ch.symmetrized(p).dense.tobytes() == fresh.dense.tobytes()
+    # a sum table is an integer-valued law too, and hashes by identity
+    table = sum_law(p, 3)
+    assert ch.mukhin_H(table, 0.5) == ch.mukhin_H(LatticePmf._from_window(
+        table.origin, table.D, table.offset, table.dense), 0.5)
+
+
+def test_mukhin_hn_ratio_bit_identical_to_per_d_sums():
+    # more distinct summands than memo slots; the reference sums fresh H values
+    # over the summands in order, one d at a time
+    rng = seeded(91)
+    pmfs = [random_adjacent_pmf(rng) for _ in range(12)]
+
+    def h_fresh(p, d):
+        supp, masses = ch._integer_atoms(ch.symmetrized.__wrapped__(p))
+        return float(np.dot(masses, ch._nearest_int_sq(supp * d)))
+
+    b2 = l3 = 0.0
+    for p in pmfs:
+        supp, masses = ch._integer_atoms(p)
+        mu = float(np.dot(masses, supp))
+        b2 += float(np.dot(masses, (supp - mu) ** 2))
+        l3 += float(np.dot(masses, np.abs(supp - mu) ** 3))
+    hn = min(sum(h_fresh(p, d) for p in pmfs) for d in np.linspace(0.25, 0.5, 41))
+    bn = math.sqrt(b2)
+    assert ch.mukhin_hn_ratio(pmfs, 0.5) == 0.5 / (l3 / bn ** 3 * bn / hn)
+
+
 def test_integer_form_required():
     shifted = LatticePmf(0.5, 1.0, {0: 0.5, 1: 0.5})
     with pytest.raises(PreconditionError):

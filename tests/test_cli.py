@@ -24,6 +24,19 @@ def test_parse_grid():
     assert parse_grid("3,7,11") == [3, 7, 11]
 
 
+def test_parse_grid_rejects_ranges_outside_one_to_b(tmp_path, capsys):
+    from llt_lab.errors import LltLabError
+
+    assert parse_grid("1..1") == [1]
+    for text in ("0..8", "-4..8", "16..8"):
+        with pytest.raises(LltLabError, match="1 <= a <= b"):
+            parse_grid(text)
+    capsys.readouterr()
+    assert run_cli(["delta-n", "--dist", "bernoulli:0.5", "--n", "16..8"], tmp_path) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "LltLabError"
+    assert not (tmp_path / "delta_n.csv").exists()
+
+
 def test_delta_n_command(tmp_path):
     assert run_cli(["delta-n", "--dist", "bernoulli:0.5", "--n", "16..64"], tmp_path) == 0
     body = (tmp_path / "delta_n.csv").read_text()

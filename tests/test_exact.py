@@ -114,6 +114,14 @@ def test_weighted_sum_cap_tracks_overflow():
         sum(full.prob(k) for k in range(4, 7)), abs=1e-14)
 
 
+def test_weighted_sum_law_rejects_negative_cap():
+    for cap in (-1, -3):
+        with pytest.raises(PreconditionError, match="max_value"):
+            weighted_sum_law([1, 2], [0.5, 0.5], max_value=cap)
+    law = weighted_sum_law([1, 2], [0.5, 0.5], max_value=0)
+    assert law.dense.tolist() == [0.25] and law.beyond_mass == 0.75
+
+
 def test_joint_law_bernoulli_cells():
     p = bernoulli(0.5)
     j = joint_law(p, 1, 2)

@@ -90,6 +90,15 @@ def test_lecam_bound_dominates_exact_full_sum():
         assert ps.lecam_full_sum(probs) <= ps.lecam_bound(probs) + 1e-12
 
 
+def test_poisson_pmf_raises_when_tail_is_open_at_cap():
+    for lam in (300.0, 800.0):  # tail 1 - 5.1e-10 and all-zero masses before the check
+        with pytest.raises(PreconditionError, match="tail"):
+            ps.poisson_pmf(lam)
+    with pytest.raises(PreconditionError, match="tail"):
+        ps.lecam_full_sum([0.4] * 800)  # returned 1.0000000000004 before the check
+    assert 1.0 - ps.poisson_pmf(100.0).sum() <= ps.POISSON_TAIL
+
+
 def test_cdf_sup_form_also_bounded():
     rng = seeded(74)
     for _ in range(20):
