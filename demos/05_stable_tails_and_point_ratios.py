@@ -1,9 +1,9 @@
-"""Heavy-tail sums: stable local limits by inversion and point-mass ratios.
+"""Heavy-tail sums: stable local limits by Zolotarev's integral and point-mass ratios.
 
 The discretised one-sided power-tail family at alpha = 1/2 has an explicit
-limit density (inverse-square-root tail); the inversion quadrature matches
-its closed form, the normalised sums approach it pointwise, and for a finite
-mean family the far point masses match n times the single-jump mass.
+limit density (inverse-square-root tail); Zolotarev's integral representation
+matches its closed form, the normalised sums approach it pointwise, and for a
+finite mean family the far point masses match n times the single-jump mass.
 """
 
 import math
@@ -11,9 +11,9 @@ import math
 from llt_lab.approx import StableParams, doney_ratio, stable_density, stable_llt_error
 from llt_lab.lattice import moments, power_tail
 
-print("=== inversion vs closed form at alpha = 1/2 ===")
+print("=== Zolotarev integral vs closed form at alpha = 1/2 ===")
 params = StableParams(alpha=0.5)
-print(f"{'x':>6} {'quadrature':>14} {'closed form':>14}")
+print(f"{'x':>6} {'zolotarev':>14} {'closed form':>14}")
 for x in (0.5, 1.0, 2.0, 5.0, 20.0):
     closed = 0.5 * x**-1.5 * math.exp(-math.pi / (4 * x))
     print(f"{x:>6} {stable_density(params, x):>14.9f} {closed:>14.9f}")

@@ -3,7 +3,7 @@
 The exact engine supplies pmf tables; this module evaluates the Gaussian
 local term, the scaled sup-error Delta_n, the classical binomial bound with
 explicit remainder, the third-order expansion term, summed variation
-distance, one-sided stable densities by characteristic-function inversion,
+distance, one-sided stable densities by Zolotarev's integral representation,
 ratio diagnostics for heavy tails, the smoothness criterion, the quadrature
 lower bound, and residue-uniformity diagnostics.
 """
@@ -17,8 +17,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, roots_legendre
 
 from .errors import (
     DegenerateLawError,
@@ -265,7 +264,7 @@ class StableParams:
         if self.alpha == 1.0:
             raise UnsupportedParameterError("alpha = 1 branch is not implemented")
         if not 0.0 < self.alpha < 1.0:
-            raise UnsupportedParameterError("inversion branch requires alpha in (0,1)")
+            raise UnsupportedParameterError("Zolotarev branch requires alpha in (0,1)")
         if self.c <= 0:
             raise UnsupportedParameterError("scale c must be positive")
 
@@ -273,85 +272,83 @@ class StableParams:
         return (n * self.c) ** (1.0 / self.alpha)
 
 
-def stable_density(params: StableParams, x: float, abs_tol: float = 1e-9) -> float:
-    """Density of the stable limit law by Fourier inversion.
+#: Gauss-Legendre sizes of the stable kernel; points per block (< 4 MB at 4096 nodes)
+_GL_FIRST, _GL_LAST, _GL_ROWS = 32, 4096, 128
+_gauss_legendre = lru_cache(maxsize=None)(roots_legendre)
 
-    g(x) = (1/pi) Re int_0^T e^{-itx} f(t) dt, where f(t) = exp{-G(1-a)
-    cos(pi a/2) t^a (1 - i tan(pi a/2))} for t > 0 (no skew term for the
-    symmetric variant), with the cutoff T placed where |f| < 1e-14; the
-    oscillatory factor is handled by weighted quadrature.
-    Values below -1e-8 raise; small negative quadrature noise clips to 0.
+
+def _stable_scale(alpha: float) -> float:
+    """gamma with E e^{itX} = exp(-(gamma|t|)^a (1 - i beta tan(pi a/2) sgn t))."""
+    return (gamma_fn(1.0 - alpha) * math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha)
+
+
+def _zolotarev(params: StableParams, x: np.ndarray, tail: bool = False) -> np.ndarray:
+    """g(x), or with ``tail`` 1 - F(x), at the points x > 0 by Zolotarev's integral.
+
+    Nolan (1997), S1 form with beta = 1 (one-sided) or 0, y = x / gamma,
+    t0 = arctan(beta tan(pi a/2)) / a and V(t) = cos(a t0)^{1/(a-1)}
+    (cos t / sin a(t0 + t))^{a/(a-1)} cos(a t0 + (a-1) t) / cos t:
+    gamma g(x) = a y^{1/(a-1)} / (pi (1-a)) int_{-t0}^{pi/2} V e^{-y^{a/(a-1)} V} dt and
+    1 - F(x) = (1/pi) int (1 - e^{-y^{a/(a-1)} V}) dt.  The integrand is one exponential
+    of logarithms (no inf * 0 near the ends); the Gauss-Legendre rule doubles
+    until two sizes agree to 1e-13 everywhere.
     """
-    coeff = gamma_fn(1.0 - params.alpha) * math.cos(math.pi * params.alpha / 2.0)
-    skew = math.tan(math.pi * params.alpha / 2.0)
-    T = (math.log(1e14) / coeff) ** (1.0 / params.alpha)
-
-    def re_f(t):
-        mag = math.exp(-coeff * t ** params.alpha)
-        if params.one_sided:
-            return mag * math.cos(skew * coeff * t ** params.alpha)
-        return mag
-
-    def im_f(t):
-        if not params.one_sided:
-            return 0.0
-        mag = math.exp(-coeff * t ** params.alpha)
-        return mag * math.sin(skew * coeff * t ** params.alpha)
-
-    # Re e^{-itx} f(t) = Re f cos(tx) + Im f sin(tx)
-    c_part, _ = quad(re_f, 0.0, T, weight="cos", wvar=x, epsabs=abs_tol, limit=400)
-    if params.one_sided:
-        s_part, _ = quad(im_f, 0.0, T, weight="sin", wvar=x, epsabs=abs_tol, limit=400)
-    else:
-        s_part = 0.0
-    val = (c_part + s_part) / math.pi
-    if val < -1e-8:
-        raise PreconditionError(f"inversion produced g({x}) = {val} < -1e-8")
-    return max(val, 0.0)
+    a, c, gam = params.alpha, params.alpha / (params.alpha - 1.0), _stable_scale(params.alpha)
+    t0 = math.atan(float(params.one_sided) * math.tan(math.pi * a / 2.0)) / a
+    half = (math.pi / 2.0 + t0) / 2.0
+    log_y, prev, m = np.log(x / gam)[:, None], None, _GL_FIRST
+    while m <= _GL_LAST:
+        u, w = _gauss_legendre(m)
+        t = half * u + (math.pi / 2.0 - half)
+        log_v = (math.log(math.cos(a * t0)) / (a - 1.0)
+                 + c * np.log(np.cos(t) / np.sin(a * (t0 + t)))
+                 + np.log(np.cos(a * t0 + (a - 1.0) * t) / np.cos(t)))
+        cur = np.empty(len(x))
+        for s in range(0, len(x), _GL_ROWS):
+            ly = log_y[s:s + _GL_ROWS]
+            with np.errstate(over="ignore"):  # z = inf gives the exact limit 0
+                z = np.exp(c * ly + log_v)
+            f = -np.expm1(-z) if tail else np.exp(ly / (a - 1.0) + log_v - z) * (a / (1.0 - a))
+            cur[s:s + _GL_ROWS] = f @ w * (half / math.pi / (1.0 if tail else gam))
+        if prev is not None and np.max(np.abs(cur - prev), initial=0.0) <= 1e-13:
+            return cur
+        prev, m = cur, 2 * m
+    raise PreconditionError(f"stable kernel: Gauss-Legendre rules still differ by "
+                            f"{np.max(np.abs(cur - prev)):.3g} at {_GL_LAST} nodes")
 
 
-def stable_density_mass(params: StableParams, x_split: float = 2000.0) -> float:
-    """Total mass of the inverted density with the analytic power tail restored.
+def stable_density(params: StableParams, x: float) -> float:
+    """Density g of the stable limit at x: E e^{-sX} = exp(-G(1-a) s^a) for the
+    one-sided law, E e^{itX} = exp(-G(1-a) cos(pi a/2) |t|^a) for the symmetric one."""
+    if not params.one_sided and x == 0.0:  # Nolan's closed form at the mode
+        return float(gamma_fn(1.0 + 1.0 / params.alpha) / (math.pi * _stable_scale(params.alpha)))
+    y = x if params.one_sided else abs(x)
+    return float(_zolotarev(params, np.array([y]))[0]) if y > 0.0 else 0.0
 
-    Integrates g over [0, x_split] by adaptive quadrature and adds the
-    first-order tail x_split^{-alpha} of the one-sided limit law (whose
-    normalised survival coefficient is 1); the next tail order is
-    O(x_split^{-2 alpha}), i.e. ~1e-6 at alpha = 1/2.  The split must stay
-    below ~2e3 because the oscillatory inversion quadrature degrades beyond.
-    """
+
+def stable_density_mass(params: StableParams) -> float:
+    """Adaptive quadrature of g over [0, 50] plus the tail 1 - F(50) of the same integral."""
+    from scipy.integrate import quad
+
     if not params.one_sided:
         raise PreconditionError("mass check implemented for the one-sided branch")
-    a = params.alpha
-    body = 0.0
-    for lo, hi in ((0.0, 2.0), (2.0, 50.0)):
-        val, _ = quad(lambda x: stable_density(params, x), lo, hi, limit=300)
-        body += val
-    # far tail flattened by v = x^-alpha, under which g(x) dx -> dv asymptotically
-    val, _ = quad(lambda v: stable_density(params, v ** (-1.0 / a)) / a * v ** (-1.0 - 1.0 / a),
-                  x_split ** -a, 50.0 ** -a, limit=300)
-    body += val
-    return body + x_split ** -a
+    body = quad(lambda x: stable_density(params, x), 0.0, 50.0, epsabs=1e-13, limit=200)[0]
+    return body + float(_zolotarev(params, np.array([50.0]), tail=True)[0])
 
 
 class StableDensityTable:
-    """Cubic-interpolated table of a stable density on [0, x_max]."""
+    """One-sided g on the grid that ``stable_llt_error`` interpolates (steps 0.01, then 0.05)."""
 
-    def __init__(self, params: StableParams, x_max: float = 60.0, step: float = 0.01,
-                 coarse_from: float = 5.0, coarse_step: float = 0.05):
-        fine = np.arange(0.0, min(coarse_from, x_max) + step, step)
-        coarse = np.arange(min(coarse_from, x_max), x_max + coarse_step, coarse_step)
-        self.x = np.unique(np.concatenate([fine, coarse]))
-        self.params = params
-        self.g = np.array([stable_density(params, float(v)) for v in self.x])
-
-    def __call__(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=np.float64), self.x, self.g,
-                         left=0.0, right=0.0)
+    def __init__(self, alpha: float, x_max: float = 60.0):
+        fine = np.arange(0.0, min(5.0, x_max) + 0.01, 0.01)
+        coarse = np.arange(min(5.0, x_max), x_max + 0.05, 0.05)
+        x = np.unique(np.concatenate([fine, coarse]))
+        # arange accumulates rounding (its node for 60 is 59.9999999999998): end at x_max
+        self.x = np.append(x[x < x_max - 1e-9], x_max)
+        self.g = np.append(0.0, _zolotarev(StableParams(alpha=alpha), self.x[1:]))  # g(0) = 0
 
 
-@lru_cache(maxsize=None)
-def _density_table(alpha: float, one_sided: bool, x_max: float) -> StableDensityTable:
-    return StableDensityTable(StableParams(alpha=alpha, one_sided=one_sided), x_max=x_max)
+_density_table = lru_cache(maxsize=None)(StableDensityTable)
 
 
 def stable_llt_error(p: LatticePmf, n: int, x_max: float = 60.0) -> ApproxReport:
@@ -371,10 +368,10 @@ def stable_llt_error(p: LatticePmf, n: int, x_max: float = 60.0) -> ApproxReport
         raise PreconditionError("family truncated below the comparison window")
     law = sum_law(p, n, max_index=cap)
     correction = (1.0 - p.discarded_mass) ** n
-    table = _density_table(params.alpha, params.one_sided, x_max)
+    table = _density_table(params.alpha, x_max)
     k = law.offset + np.arange(len(law.dense))
     vals = bn * law.dense * correction
-    g = table(k / bn)
+    g = np.interp(k / bn, table.x, table.g, left=0.0, right=0.0)
     err = float(np.max(np.abs(vals - g)))
     flags = ()
     if n * p.discarded_mass > 0.5:
@@ -456,6 +453,8 @@ def gamkrelidze_lower_check(p: LatticePmf, n: int, k: int,
     Lambda_n = 2.01 (Delta_n + e^{-pi^2 B_n^2}/(2 sqrt(pi))); lhs <= rhs holds
     whenever the local approximation is any good.
     """
+    from scipy.integrate import quad
+
     p.integer_view()  # integer-valued laws only
     if k < 1:
         raise PreconditionError("k >= 1 required")

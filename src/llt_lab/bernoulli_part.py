@@ -82,7 +82,7 @@ def decompose(p: LatticePmf, theta: Optional[float] = None) -> Decomposition:
         raise NoBernoulliComponentError("no Bernoulli component: theta_X = 0")
     if theta is None:
         theta = tmax
-    if not 0.0 < theta <= tmax + 1e-15:
+    if not 0.0 < theta <= tmax * (1.0 + 1e-12):  # relative slack: tmax may be tiny
         raise PreconditionError(f"theta must lie in (0, {tmax}]")
     w = p.dense
     tau = np.minimum(w[:-1], w[1:]) * (theta / tmax)

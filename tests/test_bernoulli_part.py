@@ -98,6 +98,15 @@ def _dict_sample(p, joint, n, seed):
     return (float(np.sum(p.v0 + p.D * ks)), int(eps.sum()), int((eps * coins).sum()))
 
 
+def test_decompose_rejects_theta_above_tiny_theta_max():
+    # theta_X = 1e-15: an absolute slack of 1e-15 accepted theta = 2 theta_X and
+    # gave tau_0 = 2e-15 > min(f(0), f(1))
+    p = LatticePmf(0.0, 1.0, {0: 1.0 - 1e-15, 1: 1e-15})
+    with pytest.raises(PreconditionError):
+        bp.decompose(p, 2e-15)
+    assert bp.decompose(p, bp.theta_max(p)).tau == {0: 1e-15}
+
+
 def _same_window(a, b):
     return (a.v0, a.D, a.offset, a.dense.tobytes()) == (b.v0, b.D, b.offset, b.dense.tobytes())
 

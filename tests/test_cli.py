@@ -137,9 +137,10 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_signal_and_stats():
-    # both are slow to import and the CLI does not need them at start
+    # all four are slow to import and the CLI does not need them at start
     code = ("import sys, llt_lab.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+            "print([m for m in ('scipy.signal', 'scipy.stats', 'scipy.integrate', "
+            "'scipy.optimize') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from llt_lab import approx
 from llt_lab.approx import (
+    StableDensityTable,
     StableParams,
     doney_ratio,
     stable_density,
@@ -56,6 +58,67 @@ def test_symmetric_variant_is_even(half_params):
     sym = StableParams(alpha=0.5, one_sided=False)
     for x in (0.5, 1.5, 3.0):
         assert stable_density(sym, x) == pytest.approx(stable_density(sym, -x), rel=1e-9)
+
+
+def feller_series(alpha: float, x: float, one_sided: bool = True) -> float:
+    """Feller II, XVII.6: the density of Y with E e^{-sY} = exp(-s^a) (one-sided) or
+    E e^{itY} = exp(-|t|^a) (symmetric) is (1/pi) sum_k (-1)^{k+1} G(ka+1)/k!
+    sin(k pi a) y^{-ka-1}, with sin(k pi a/2) in the symmetric case; the limit
+    law of the package is s Y with the scale s below."""
+    if one_sided:
+        s = math.gamma(1.0 - alpha) ** (1.0 / alpha)
+    else:
+        s = (math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha)
+    y, total = abs(x) / s, 0.0
+    for k in range(1, 5000):
+        size = math.exp(math.lgamma(k * alpha + 1.0) - math.lgamma(k + 1.0)
+                        - (k * alpha + 1.0) * math.log(y))
+        total += (-1) ** (k + 1) * size * math.sin(k * math.pi * alpha * (1 if one_sided else 0.5))
+        if k > 10 and size < 1e-20:
+            break
+    return total / (math.pi * s)
+
+
+FELLER_CASES = ([(a, y) for a in (0.1, 0.2, 0.3) for y in (1.0, 2.92, 5.0, 20.0)]
+                + [(0.7, y) for y in (2.92, 5.0, 20.0)]
+                + [(a, y) for a in (0.9, 0.95) for y in (30.0, 60.0, 200.0)])
+
+
+@pytest.mark.parametrize("alpha,y", FELLER_CASES)
+def test_density_matches_feller_series(alpha, y):
+    assert abs(stable_density(StableParams(alpha=alpha), y) - feller_series(alpha, y)) < 1e-12
+
+
+def test_density_matches_closed_form_to_rounding(half_params):
+    for x in (0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0, 60.0, 100.0, 1e4):
+        assert abs(stable_density(half_params, x) - levy_density(x)) < 1e-12
+
+
+def test_symmetric_variant_matches_feller_series():
+    sym = StableParams(alpha=0.5, one_sided=False)
+    for x in (0.5, 1.5, 3.0, -3.0, 20.0):
+        assert abs(stable_density(sym, x) - feller_series(0.5, x, one_sided=False)) < 1e-12
+    # at 0 the series diverges; the closed form is G(1 + 1/a) / (pi gamma), gamma = pi/2
+    assert stable_density(sym, 0.0) == pytest.approx(4.0 / math.pi**2, rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_density_mass_is_one(alpha):
+    assert abs(stable_density_mass(StableParams(alpha=alpha)) - 1.0) < 1e-9
+
+
+def test_density_raises_when_rules_do_not_agree(monkeypatch):
+    # alpha = 0.95 at x = 200 needs 4096 nodes; cap the rule at 256
+    monkeypatch.setattr(approx, "_GL_LAST", 256)
+    with pytest.raises(PreconditionError, match="Gauss-Legendre"):
+        stable_density(StableParams(alpha=0.95), 200.0)
+
+
+def test_density_table_ends_at_x_max():
+    table = StableDensityTable(0.5, x_max=60.0)
+    assert table.x[-1] == 60.0
+    at_edge = np.interp(60.0, table.x, table.g, left=0.0, right=0.0)
+    assert abs(at_edge - levy_density(60.0)) < 1e-12
 
 
 @pytest.fixture(scope="module")
