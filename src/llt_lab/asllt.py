@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,20 +57,35 @@ def write_paths_csv(path, estimates: Sequence[PathEstimate]) -> None:
                 w.writerow([est.kind, est.seed, n, repr(value), repr(est.target)])
 
 
-def _checkpoints(N: int, start: int = 4) -> list[int]:
-    """Dyadic checkpoints plus decade marks and the horizon itself."""
-    pts = set()
-    n = start
+def _checkpoints(N: int) -> list[int]:
+    """Dyadic checkpoints from 4, decade marks from 10, and the horizon N itself."""
+    pts = {N}
+    n = 4
     while n < N:
         pts.add(n)
         n *= 2
     d = 10
     while d < N:
-        if d >= start:
-            pts.add(d)
+        pts.add(d)
         d *= 10
-    pts.add(N)
     return sorted(pts)
+
+
+def _require_horizon(N: int, least: int) -> None:
+    if N < least:
+        raise PreconditionError(f"need a horizon of at least {least}, got {N}")
+
+
+def _log_average(terms: np.ndarray, N: int, norm: Optional[np.ndarray] = None) -> tuple:
+    """Checkpoints (m, sum_{n<=m} terms_n / log L_m) where L_m > 1; L_m = m or norm[m-1].
+
+    Paths pass weighted hit indicators, expectations the same weights times
+    exact hit masses; np.cumsum adds in index order, like a running sum.
+    """
+    csum = np.cumsum(terms)
+    level = range(1, N + 1) if norm is None else norm
+    return tuple((m, float(csum[m - 1] / math.log(level[m - 1])))
+                 for m in _checkpoints(N) if level[m - 1] > 1.0)
 
 
 # -- the i.i.d. square-integrable estimator ------------------------------------------
@@ -122,49 +137,46 @@ def _simulate_index_path(p: LatticePmf, N: int, rng) -> np.ndarray:
 
 def asllt_path(p: LatticePmf, kappa: float, N: int, seed: int) -> PathEstimate:
     """One simulated path of (1/log N) sum_{n<=N} n^{-1/2} 1{S_n = kappa_n}."""
-    if N < 4:
-        raise PreconditionError("need N >= 4 (log-average undefined near N=1)")
+    _require_horizon(N, 4)
     rule = KappaRule.for_pmf(p, kappa)
-    rng = stream(seed)
-    ks = _simulate_index_path(p, N, rng)
+    ks = _simulate_index_path(p, N, stream(seed))
     n = np.arange(1, N + 1)
-    targets = rule.index(n)
-    hits = (ks == targets) / np.sqrt(n)
-    csum = np.cumsum(hits)
-    pts = _checkpoints(N)
-    cps = tuple((m, float(csum[m - 1] / math.log(m))) for m in pts)
+    hits = (ks == rule.index(n)) / np.sqrt(n)
     return PathEstimate(kind="t1", seed=seed, target=asllt_target(p, kappa),
-                        checkpoints=cps, kappa_desc=rule.describe())
-
-
-def _require_horizon(N: int) -> None:
-    if N < 2:
-        raise PreconditionError("need N >= 2 (the log-average divides by log N)")
+                        checkpoints=_log_average(hits, N), kappa_desc=rule.describe())
 
 
 def asllt_expectation(p: LatticePmf, kappa: float, N: int) -> float:
     """Exact (1/log N) sum_{n<=N} n^{-1/2} P{S_n = kappa_n}."""
-    _require_horizon(N)
-    rule = KappaRule.for_pmf(p, kappa)
-    run = RunningConvolution(p)
-    acc = 0.0
-    for n, target in enumerate(rule.index(np.arange(1, N + 1)).tolist(), start=1):
-        run.step()
-        acc += run.prob(target) / math.sqrt(n)
-    return acc / math.log(N)
+    _require_horizon(N, 2)
+    n = np.arange(1, N + 1)
+    m = hit_mass_sequence(p, KappaRule.for_pmf(p, kappa).index(n), N)
+    return _log_average(m / np.sqrt(n), N)[-1][1]
 
 
 # -- the log-average hitting estimator with exact mass normalisation ---------------
 
 
-def hit_mass_sequence(p: LatticePmf, a_index: int, N: int) -> np.ndarray:
-    """m_k = P{S_k = a} for k = 1..N, computed exactly once."""
+def hit_mass_sequence(p: LatticePmf, a_index, N: int) -> np.ndarray:
+    """m_k = P{S_k = a_k} for k = 1..N, for one fixed level a or one target a_k per step."""
     run = RunningConvolution(p)
     out = np.empty(N)
-    for k in range(N):
+    for k, target in enumerate(np.broadcast_to(a_index, (N,)).tolist()):
         run.step()
-        out[k] = run.prob(a_index)
+        out[k] = run.prob(target)
     return out
+
+
+def _mass_totals(p: LatticePmf, a_index: int, N: int,
+                 masses: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Hit masses m_k = P{S_k = a} for k = 1..N (or the given ones) and their totals M_k."""
+    m = hit_mass_sequence(p, a_index, N) if masses is None else masses
+    if len(m) != N:
+        raise PreconditionError(f"masses must hold N = {N} hit masses, not {len(m)}")
+    M = np.cumsum(m)
+    if M[-1] < 2.0:
+        raise PreconditionError("insufficient mass, increase N")
+    return m, M
 
 
 def chung_erdos_path(p: LatticePmf, a_index: int, N: int, seed: int,
@@ -176,28 +188,18 @@ def chung_erdos_path(p: LatticePmf, a_index: int, N: int, seed: int,
     """
     if p.is_degenerate():
         raise PreconditionError("degenerate summand law")
-    m = hit_mass_sequence(p, a_index, N) if masses is None else masses
-    M = np.cumsum(m)
-    if M[-1] < 2.0:
-        raise PreconditionError("insufficient mass, increase N")
-    rng = stream(seed)
-    ks = _simulate_index_path(p, N, rng)
-    hits = (ks == a_index) / M
-    csum = np.cumsum(hits)
-    pts = [n for n in _checkpoints(N) if M[n - 1] > 1.0]
-    cps = tuple((n, float(csum[n - 1] / math.log(M[n - 1]))) for n in pts)
-    return PathEstimate(kind="chung_erdos", seed=seed, target=1.0, checkpoints=cps,
+    _, M = _mass_totals(p, a_index, N, masses)
+    ks = _simulate_index_path(p, N, stream(seed))
+    return PathEstimate(kind="chung_erdos", seed=seed, target=1.0,
+                        checkpoints=_log_average((ks == a_index) / M, N, norm=M),
                         kappa_desc=f"fixed level a={a_index}")
 
 
 def chung_erdos_expectation(p: LatticePmf, a_index: int, N: int,
                             masses: Optional[np.ndarray] = None) -> float:
     """(1/log M_N) sum_{k<=N} m_k/M_k; tends to 1 as the mass accumulates."""
-    m = hit_mass_sequence(p, a_index, N) if masses is None else masses
-    M = np.cumsum(m)
-    if M[-1] < 2.0:
-        raise PreconditionError("insufficient mass, increase N")
-    return float(np.sum(m / M) / math.log(M[-1]))
+    m, M = _mass_totals(p, a_index, N, masses)
+    return _log_average(m / M, N, norm=M)[-1][1]
 
 
 # -- two-state chain ------------------------------------------------------------------
@@ -243,10 +245,8 @@ class TwoStateChain:
 
 def markov_kappa_indices(chain: TwoStateChain, kappa: float, n) -> np.ndarray:
     """Integer targets k_nu with kappa_nu = -nu pi_1 + k_nu tracking kappa sigma sqrt(nu)."""
-    n = np.asarray(n, dtype=np.float64)
-    pi1 = chain.pi[1]
-    sigma = math.sqrt(chain.sigma2)
-    return np.floor(n * pi1 + kappa * sigma * np.sqrt(n) + 0.5).astype(np.int64)
+    return KappaRule(mu=chain.pi[1], sigma=math.sqrt(chain.sigma2), v0=0.0, D=1.0,
+                     kappa=kappa).index(n)
 
 
 def markov_ones_pmf(chain: TwoStateChain, nu: int) -> np.ndarray:
@@ -297,18 +297,11 @@ def _simulate_chain(chain: TwoStateChain, N: int, rng) -> np.ndarray:
 
 def markov_asllt_path(chain: TwoStateChain, kappa: float, N: int, seed: int) -> PathEstimate:
     """Path of (1/log n) sum (sigma/sqrt(nu)) 1{S_nu = kappa_nu}; target phi(kappa)."""
-    if N < 4:
-        raise PreconditionError("need N >= 4")
-    rng = stream(seed)
-    states = _simulate_chain(chain, N, rng)
-    ones = np.cumsum(states)
+    _require_horizon(N, 4)
+    ones = np.cumsum(_simulate_chain(chain, N, stream(seed)))
     nu = np.arange(1, N + 1)
-    targets = markov_kappa_indices(chain, kappa, nu)
-    sigma = math.sqrt(chain.sigma2)
-    hits = (ones == targets) * (sigma / np.sqrt(nu))
-    csum = np.cumsum(hits)
-    pts = _checkpoints(N)
-    cps = tuple((m, float(csum[m - 1] / math.log(m))) for m in pts)
+    hits = ones == markov_kappa_indices(chain, kappa, nu)
+    cps = _log_average(hits * (math.sqrt(chain.sigma2) / np.sqrt(nu)), N)
     target = math.exp(-0.5 * kappa * kappa) / SQRT_2PI
     return PathEstimate(kind="markov", seed=seed, target=target, checkpoints=cps,
                         kappa_desc=f"-nu*pi1 + round(nu*pi1 + {kappa}*sigma*sqrt(nu))")
@@ -316,15 +309,14 @@ def markov_asllt_path(chain: TwoStateChain, kappa: float, N: int, seed: int) -> 
 
 def markov_asllt_expectation(chain: TwoStateChain, kappa: float, N: int) -> float:
     """Exact (1/log N) sum (sigma/sqrt(nu)) P{S_nu = kappa_nu} via the transfer table."""
-    _require_horizon(N)
-    sigma = math.sqrt(chain.sigma2)
-    targets = markov_kappa_indices(chain, kappa, np.arange(1, N + 1))
-    acc = 0.0
-    tables = _visit_tables(chain.transition(), chain.pi, N)
-    for nu, (j, table) in enumerate(zip(targets, tables), start=1):
-        if 0 <= j < table.shape[0]:
-            acc += table[j].sum() * sigma / math.sqrt(nu)
-    return acc / math.log(N)
+    _require_horizon(N, 2)
+    nu = np.arange(1, N + 1)
+    targets = markov_kappa_indices(chain, kappa, nu).tolist()
+    m = np.zeros(N)  # P{S_nu = kappa_nu}: the row sum at the target, 0 outside the table
+    for i, table in enumerate(_visit_tables(chain.transition(), chain.pi, N)):
+        if 0 <= targets[i] < table.shape[0]:
+            m[i] = table[targets[i]].sum()
+    return _log_average(m * math.sqrt(chain.sigma2) / np.sqrt(nu), N)[-1][1]
 
 
 # -- Dickman function and model -------------------------------------------------------
@@ -337,9 +329,7 @@ def _cumquad4(g: np.ndarray, h: float) -> np.ndarray:
     if n >= 3:
         steps[0] = h * (9 * g[0] + 19 * g[1] - 5 * g[2] + g[3]) / 24.0
         steps[n - 1] = h * (g[n - 3] - 5 * g[n - 2] + 19 * g[n - 1] + 9 * g[n]) / 24.0
-        if n >= 2:
-            core = h * (-g[0:n - 2] + 13 * g[1:n - 1] + 13 * g[2:n] - g[3:n + 1]) / 24.0
-            steps[1:n - 1] = core
+        steps[1:n - 1] = h * (-g[0:n - 2] + 13 * g[1:n - 1] + 13 * g[2:n] - g[3:n + 1]) / 24.0
     else:  # tiny grids: trapezoid fallback
         steps[:] = h * (g[:-1] + g[1:]) / 2.0
     return np.concatenate(([0.0], np.cumsum(steps)))
@@ -370,9 +360,7 @@ class DickmanRho:
             + t * t * (ym1 / 2.0 - y0 + y1 / 2.0)
             + t ** 3 * (-ym1 / 6.0 + y0 / 2.0 - y1 / 2.0 + y2 / 6.0)
         )
-        if np.isscalar(u) or np.asarray(u).ndim == 0:
-            return float(out[0])
-        return out
+        return float(out[0]) if np.ndim(u) == 0 else out
 
     def integral(self) -> float:
         """Integral over [0, u_max] by composite Simpson."""
@@ -421,8 +409,7 @@ def dickman_llt_check(n: int, x: float, rho: DickmanRho):
     """Exact n P{T_n = round(x n)} against the limit e^{-gamma} rho(x)."""
     from .approx import ApproxReport
 
-    if n < 2:
-        raise PreconditionError("n >= 2 required")
+    _require_horizon(n, 2)
     kappa = round(x * n)
     law = dickman_sum_law(n, max_value=kappa)
     exact = n * law.prob(kappa)
@@ -433,8 +420,7 @@ def dickman_llt_check(n: int, x: float, rho: DickmanRho):
 
 def dickman_strong_llt(n: int, rho: DickmanRho) -> float:
     """Full sum over kappa of |P{T_n=kappa} - n^{-1} e^{-gamma} rho(kappa/n)|."""
-    if n < 2:
-        raise PreconditionError("n >= 2 required")
+    _require_horizon(n, 2)
     law = dickman_sum_law(n)
     hi = max(law.offset + len(law.dense) - 1, int(math.ceil(n * rho.u_max)))
     kappa = np.arange(0, hi + 1)
@@ -452,22 +438,14 @@ def asllt_dickman_path(N: int, seed: int, rho: DickmanRho, x: float = 1.0) -> Pa
     order one for this model (unlike the i.i.d. estimator, where the early
     terms happen to cancel the harmonic-sum surplus).
     """
-    if N < 4:
-        raise PreconditionError("need N >= 4")
+    _require_horizon(N, 4)
     if x < 1.0:
         raise PreconditionError("round(x n) must be strictly increasing: need x >= 1")
-    rng = stream(seed)
     k = np.arange(1, N + 1)
-    z = rng.random(N) < 1.0 / k
-    t = np.cumsum(k * z)
-    kappa = np.floor(x * k + 0.5).astype(np.int64)
-    hits = (t == kappa).astype(np.float64)
-    csum = np.cumsum(hits)
-    pts = _checkpoints(N)
-    target = math.exp(-EULER_GAMMA) * float(rho(x))
-    cps = tuple((m, float(csum[m - 1] / math.log(m))) for m in pts)
-    return PathEstimate(kind="dickman", seed=seed, target=target, checkpoints=cps,
-                        kappa_desc=f"round({x} n)")
+    t = np.cumsum(k * (stream(seed).random(N) < 1.0 / k))
+    hits = (t == np.floor(x * k + 0.5).astype(np.int64)).astype(np.float64)
+    return PathEstimate(kind="dickman", seed=seed, target=math.exp(-EULER_GAMMA) * float(rho(x)),
+                        checkpoints=_log_average(hits, N), kappa_desc=f"round({x} n)")
 
 
 def dickman_expectation(N: int, x: float, rho: Optional[DickmanRho] = None) -> float:
@@ -476,15 +454,17 @@ def dickman_expectation(N: int, x: float, rho: Optional[DickmanRho] = None) -> f
     ``rho`` is ignored: the exact expectation needs no Dickman table.  It is
     kept so that calls passing one still work.
     """
-    _require_horizon(N)
+    _require_horizon(N, 2)
+    if not x >= 0.0:
+        raise PreconditionError("the target round(x n) needs x >= 0")
     dp = _WeightedDP(int(math.floor(x * N + 0.5)) + 1)
-    acc = 0.0
+    m = np.zeros(N)  # P{T_n = round(x n)}; 0 above the reachable range
     for n in range(1, N + 1):
         dp.step(n, 1.0 / n)
         kappa = math.floor(x * n + 0.5)
         if kappa <= dp.hi:
-            acc += dp.law[kappa]
-    return acc / math.log(N)
+            m[n - 1] = dp.law[kappa]
+    return _log_average(m, N)[-1][1]
 
 
 # -- correlation diagnostics -----------------------------------------------------------

@@ -71,7 +71,10 @@ def parse_grid(text: str) -> list[int]:
 def parse_seeds(args) -> list[int]:
     if args.seeds:
         a, _, b = args.seeds.partition(":")
-        return list(range(int(a), int(b)))
+        lo, hi = int(a), int(b)
+        if not lo < hi:
+            raise LltLabError(f"seed range {args.seeds!r} needs lo < hi")
+        return list(range(lo, hi))
     return [args.seed]
 
 
@@ -211,14 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
                                              "local limit diagnostics")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, plot=False):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=["csv", "svg"], default="csv")
+        if plot:
+            p.add_argument("--format", choices=["csv", "svg"], default="csv")
 
     d = sub.add_parser("delta-n", help="scaled sup-error of the Gaussian local term")
     d.add_argument("--dist", required=True)
     d.add_argument("--n", required=True, help="dyadic range a..b or comma list")
-    common(d)
+    common(d, plot=True)
     d.set_defaults(fn=cmd_delta_n)
 
     a = sub.add_parser("asllt", help="almost-sure local estimator paths")
@@ -232,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--N", type=int, required=True)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--seeds", help="half-open range lo:hi of master seeds")
-    common(a)
+    common(a, plot=True)
     a.set_defaults(fn=cmd_asllt)
 
     r = sub.add_parser("dickman-rho", help="tabulate the delay-equation solution")

@@ -77,23 +77,16 @@ def cdf_sup_distance(law_a, law_b) -> float:
 def set_sup_distance(law_a, law_b, window: int) -> float:
     """sup_A |P{X in A} - P{Y in A}| over all subsets of 0..window-1.
 
-    Brute-force enumeration; only sensible for small windows.  Mass beyond
-    the window is treated as one extra point that may join A.
+    Mass beyond the window is treated as one extra point that may join A.
+    The supremum is attained at A = {k : P{X=k} > P{Y=k}} or at its
+    complement, so it is the larger of the two one-sided sums of the gaps.
     """
+    if window < 0:
+        raise PreconditionError("window must be nonnegative")
     a, b = _aligned(law_a, law_b)
-    if window > 20:
-        raise PreconditionError("subset enumeration window capped at 20")
-    if len(a) < window:
-        a = np.pad(a, (0, window - len(a)))
-        b = np.pad(b, (0, window - len(b)))
-    head_a = list(a[:window]) + [max(0.0, 1.0 - a[:window].sum())]
-    head_b = list(b[:window]) + [max(0.0, 1.0 - b[:window].sum())]
-    worst = 0.0
-    for mask in range(1 << (window + 1)):
-        pa = sum(head_a[i] for i in range(window + 1) if mask >> i & 1)
-        pb = sum(head_b[i] for i in range(window + 1) if mask >> i & 1)
-        worst = max(worst, abs(pa - pb))
-    return worst
+    gap = (np.append(a[:window], max(0.0, 1.0 - a[:window].sum()))
+           - np.append(b[:window], max(0.0, 1.0 - b[:window].sum())))
+    return float(max(np.maximum(gap, 0.0).sum(), np.maximum(-gap, 0.0).sum()))
 
 
 def poisson_binomial_law(ps: Sequence[float]) -> SumLawTable:

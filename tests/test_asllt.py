@@ -8,7 +8,7 @@ from llt_lab import asllt as asl
 from llt_lab.errors import PreconditionError
 from llt_lab.exact import sum_law
 from llt_lab.gen import seeded
-from llt_lab.lattice import LatticePmf, bernoulli, centered_coin, lazy_walk
+from llt_lab.lattice import LatticePmf, bernoulli, centered_coin, lazy_walk, uniform_range
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -383,3 +383,60 @@ def test_markov_ones_pmf_empty_and_negative_horizon():
 def test_dickman_expectation_ignores_rho(rho):
     for N, x in ((2, 1.0), (50, 0.5), (400, 1.7)):
         assert asl.dickman_expectation(N, x).hex() == asl.dickman_expectation(N, x, rho).hex()
+
+
+def test_expectations_return_python_floats():
+    lazy, chain = lazy_walk(), asl.TwoStateChain(0.4, 0.5)
+    values = (asl.asllt_expectation(bernoulli(0.5), 0.3, 50),
+              asl.markov_asllt_expectation(chain, 0.3, 50),
+              asl.dickman_expectation(50, 1.0),
+              asl.chung_erdos_expectation(lazy, 0, 50))
+    assert all(type(v) is float for v in values)
+
+
+def test_markov_kappa_indices_match_the_direct_rounding():
+    # reference: floor(nu pi_1 + kappa sigma sqrt(nu) + 1/2), written out
+    n = np.arange(1, 3001)
+    for p01, p10 in ((0.4, 0.5), (0.15, 0.85), (0.9, 0.05), (0.31, 0.62)):
+        chain = asl.TwoStateChain(p01, p10)
+        sigma = math.sqrt(chain.sigma2)
+        for kappa in (-2.3, -0.81, 0.0, 0.37, 1.0, 2.9):
+            nf = n.astype(np.float64)
+            ref = np.floor(nf * chain.pi[1] + kappa * sigma * np.sqrt(nf) + 0.5).astype(np.int64)
+            assert np.array_equal(asl.markov_kappa_indices(chain, kappa, n), ref)
+
+
+def test_hit_mass_sequence_takes_one_target_per_step():
+    p = bernoulli(0.5)
+    targets = np.arange(1, 41) // 2
+    got = asl.hit_mass_sequence(p, targets, 40)
+    ref = [binom.pmf(t, k, 0.5) for k, t in enumerate(targets, start=1)]
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+    assert asl.hit_mass_sequence(p, 3, 40).tobytes() == asl.hit_mass_sequence(
+        p, np.full(40, 3), 40).tobytes()
+
+
+def test_dickman_expectation_rejects_negative_slope():
+    for N, x in ((200, -0.01), (100, -0.1), (10, float("nan"))):
+        with pytest.raises(PreconditionError):
+            asl.dickman_expectation(N, x)
+    assert asl.dickman_expectation(50, 0.0) == 0.0  # T_n >= Z_1 = 1, so T_n = 0 never happens
+
+
+def test_chung_erdos_masses_must_cover_the_horizon():
+    p = lazy_walk()
+    masses = asl.hit_mass_sequence(p, 0, 400)
+    for N in (300, 500):
+        with pytest.raises(PreconditionError, match="hit masses"):
+            asl.chung_erdos_expectation(p, 0, N, masses=masses)
+        with pytest.raises(PreconditionError, match="hit masses"):
+            asl.chung_erdos_path(p, 0, N, seed=1, masses=masses)
+
+
+def test_chung_erdos_checkpoints_start_once_the_mass_exceeds_one():
+    # uniform steps on -3..3: M_4 ~ 0.49, M_8 ~ 0.80, M_16 ~ 1.25, so log M_n > 0 from n = 16
+    p = uniform_range(-3, 3)
+    M = np.cumsum(asl.hit_mass_sequence(p, 0, 2000))
+    path = asl.chung_erdos_path(p, 0, 2000, seed=1)
+    assert [n for n, _ in path.checkpoints][0] == 16
+    assert all(M[n - 1] > 1.0 and v >= 0.0 for n, v in path.checkpoints)

@@ -144,3 +144,18 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_asllt_rejects_empty_seed_range(tmp_path, capsys):
+    for fmt in ("csv", "svg"):
+        code = run_cli(["asllt", "--kind", "t1", "--N", "100", "--seeds", "5:3",
+                        "--format", fmt], tmp_path)
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "LltLabError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_format_flag_only_where_an_svg_is_written(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["stable-error", "--alpha", "0.5", "--n", "4", "--format", "svg"], tmp_path)
+    assert exc.value.code == 2

@@ -74,6 +74,45 @@ def test_set_sup_equals_half_sum():
             ps.tv_distance(a, b), abs=1e-12)
 
 
+def _set_sup_by_enumeration(law_a, law_b, window):
+    # reference: enumerate every subset of the window plus the rest point
+    a, b = ps._aligned(law_a, law_b)
+    if len(a) < window:
+        a = np.pad(a, (0, window - len(a)))
+        b = np.pad(b, (0, window - len(b)))
+    head_a = list(a[:window]) + [max(0.0, 1.0 - a[:window].sum())]
+    head_b = list(b[:window]) + [max(0.0, 1.0 - b[:window].sum())]
+    worst = 0.0
+    for mask in range(1 << (window + 1)):
+        pa = sum(head_a[i] for i in range(window + 1) if mask >> i & 1)
+        pb = sum(head_b[i] for i in range(window + 1) if mask >> i & 1)
+        worst = max(worst, abs(pa - pb))
+    return worst
+
+
+def test_set_sup_closed_form_matches_enumeration():
+    rng = seeded(74)
+    for _ in range(200):
+        window = int(rng.integers(0, 11))
+        a = rng.dirichlet(np.ones(int(rng.integers(1, 14))))
+        b = rng.dirichlet(np.ones(int(rng.integers(1, 14))))
+        assert ps.set_sup_distance(a, b, window) == pytest.approx(
+            _set_sup_by_enumeration(a, b, window), abs=1e-15)
+
+
+def test_set_sup_wide_window():
+    # 2^41 subsets would be out of reach for enumeration
+    rng = seeded(75)
+    a, b = rng.dirichlet(np.ones(30)), rng.dirichlet(np.ones(35))
+    assert ps.set_sup_distance(a, b, window=40) == pytest.approx(ps.tv_distance(a, b), abs=1e-15)
+    a, b = rng.dirichlet(np.ones(60)), rng.dirichlet(np.ones(50))
+    got = ps.set_sup_distance(a, b, window=40)
+    b = np.pad(b, (0, 10))
+    assert np.abs(a[:40] - b[:40]).max() <= got <= ps.tv_distance(a, b) + 1e-15
+    with pytest.raises(PreconditionError):
+        ps.set_sup_distance(a, b, window=-1)
+
+
 def test_lecam_bound_forms():
     assert ps.lecam_bound([0.1, 0.1]) == pytest.approx(0.04)
     lam, n = 2.0, 50
