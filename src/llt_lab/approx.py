@@ -5,7 +5,8 @@ local term, the scaled sup-error Delta_n, the classical binomial bound with
 explicit remainder, the third-order expansion term, summed variation
 distance, one-sided stable densities by Zolotarev's integral representation,
 ratio diagnostics for heavy tails, the smoothness criterion, the quadrature
-lower bound, and residue-uniformity diagnostics.
+lower bound, and residue-uniformity diagnostics.  The normal local curve is
+written once, in ``_normal_curve``, and the zero-padded window once, in ``_window``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .exact import SumLawTable, sum_law, sup_cdf_distance
-from .lattice import SQRT_2PI, LatticePmf, char_fn, maximal_span, moments
+from .lattice import SQRT_2PI, LatticePmf, bernoulli, char_fn, maximal_span, moments
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,24 @@ def write_reports_csv(path, reports: Sequence[ApproxReport], comment: str = "") 
 # -- Gaussian local term and Delta_n ------------------------------------------------
 
 
-def gaussian_local_term(N: float, M: float, B2: float, D: float) -> float:
-    """Per-point normal mass approximation (D / sqrt(2 pi B2)) exp(-(N-M)^2 / (2 B2))."""
+def _normal_curve(x, M: float, B2: float, D: float):
+    """(D / sqrt(2 pi)) exp(-(x-M)^2 / (2 B2)): the normal local curve times B = sqrt(B2)."""
+    return (D / SQRT_2PI) * np.exp(-((x - M) ** 2) / (2.0 * B2))
+
+
+def _window(law: SumLawTable, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice points and masses of the stored window widened by ``pad`` zeros on each side."""
+    probs = np.zeros(len(law.dense) + 2 * pad)
+    probs[pad:pad + len(law.dense)] = law.dense
+    return law.points(law.offset - pad + np.arange(len(probs))), probs
+
+
+def gaussian_local_term(N, M: float, B2: float, D: float):
+    """Normal mass approximation (D / sqrt(2 pi B2)) exp(-(N-M)^2 / (2 B2)), vectorised over N."""
     if not B2 > 0:
         raise DegenerateLawError("gaussian_local_term needs positive variance")
-    z = (N - M) ** 2 / (2.0 * B2)
-    return D / math.sqrt(2.0 * math.pi * B2) * math.exp(-z)
+    g = _normal_curve(N, M, B2, D) / math.sqrt(B2)
+    return float(g) if np.ndim(g) == 0 else g
 
 
 def delta_from_table(law: SumLawTable) -> tuple[float, float]:
@@ -82,13 +95,8 @@ def delta_from_table(law: SumLawTable) -> tuple[float, float]:
     M, B2 = law.meta.mu, law.meta.sigma2
     if B2 is None or B2 <= 0:
         raise DegenerateLawError("delta_n needs positive variance")
-    B = math.sqrt(B2)
-    k = np.arange(law.offset - 1, law.offset + len(law.dense) + 1)
-    x = law.points(k)
-    probs = np.zeros(len(k))
-    probs[1:-1] = law.dense
-    gauss = (law.D / SQRT_2PI) * np.exp(-((x - M) ** 2) / (2.0 * B2))
-    dev = np.abs(B * probs - gauss)
+    x, probs = _window(law, 1)
+    dev = np.abs(math.sqrt(B2) * probs - _normal_curve(x, M, B2, law.D))
     i = int(np.argmax(dev))
     return float(dev[i]), float(x[i])
 
@@ -97,35 +105,26 @@ def delta_n(p: LatticePmf, n: int) -> float:
     """Delta_n for i.i.d. sums of p, using the declared span of p."""
     if p.is_degenerate():
         raise DegenerateLawError("degenerate: span undefined")
-    law = sum_law(p, n)
-    return delta_from_table(law)[0]
+    return delta_from_table(sum_law(p, n))[0]
 
 
 def delta_n_report(p: LatticePmf, n: int) -> ApproxReport:
-    law = sum_law(p, n)
-    value, location = delta_from_table(law)
+    value, location = delta_from_table(sum_law(p, n))
     return ApproxReport(n=n, metric="delta_n", exact=value, approx=0.0, error=value,
                         normalization="B_n", flags=(("argmax", location),))
 
 
 @lru_cache(maxsize=8)
-def measure_lltber_constant(n_max: int = 4096, n_min: int = 16) -> float:
+def measure_lltber_constant(n_max: int = 4096) -> float:
     """Largest n^{3/2}-scaled sup-error of the fair-coin local approximation.
 
-    Scans the dyadic grid n_min..n_max of fair Bernoulli sums and returns
-    max_n n^{3/2} sup_k |P{S_n=k} - sqrt(2/(pi n)) e^{-(2k-n)^2/(2n)}|.
+    Scans the dyadic grid 16..n_max of fair Bernoulli sums and returns max_n of
+    n^{3/2} sup_k |P{S_n=k} - sqrt(2/(pi n)) e^{-(2k-n)^2/(2n)}| = 2 n Delta_n (B_n = sqrt(n)/2).
     """
-    from .lattice import bernoulli
-
     p = bernoulli(0.5)
-    worst = 0.0
-    n = n_min
+    worst, n = 0.0, 16
     while n <= n_max:
-        law = sum_law(p, n)
-        k = law.offset + np.arange(len(law.dense))
-        gauss = math.sqrt(2.0 / (math.pi * n)) * np.exp(-((2 * k - n) ** 2) / (2.0 * n))
-        err = float(np.max(np.abs(law.dense - gauss)))
-        worst = max(worst, err * n ** 1.5)
+        worst = max(worst, 2 * n * delta_n(p, n))
         n *= 2
     return worst
 
@@ -183,8 +182,8 @@ def demoivre_bound(n: int, p: float, k: int, gamma: float) -> DeMoivreRecord:
 # -- third-order expansion ---------------------------------------------------------
 
 
-def edgeworth3_term(p: LatticePmf, n: int, N: float) -> float:
-    """Gaussian local term with the first skewness correction.
+def edgeworth3_term(p: LatticePmf, n: int, N):
+    """Gaussian local term with the first skewness correction, vectorised over N.
 
     (D/(sigma sqrt(n))) phi(y) (1 + (y^3 - 3y) mu3 / (6 sigma^3 sqrt(n)))
     with y = (N - n mu)/(sigma sqrt(n)).
@@ -196,36 +195,31 @@ def edgeworth3_term(p: LatticePmf, n: int, N: float) -> float:
         raise DegenerateLawError("edgeworth3_term needs positive variance")
     sigma = math.sqrt(mom.sigma2)
     y = (N - n * mom.mu) / (sigma * math.sqrt(n))
-    phi = math.exp(-0.5 * y * y) / SQRT_2PI
-    corr = 1.0 + (y ** 3 - 3.0 * y) * mom.mu3 / (6.0 * sigma ** 3 * math.sqrt(n))
-    return (p.D / (sigma * math.sqrt(n))) * phi * corr
+    # products only, so an array N and a scalar N round alike
+    corr = 1.0 + y * (y * y - 3.0) * mom.mu3 / (6.0 * sigma ** 3 * math.sqrt(n))
+    return gaussian_local_term(N, n * mom.mu, n * mom.sigma2, p.D) * corr
 
 
 def edgeworth3_sup_error(p: LatticePmf, n: int, with_correction: bool = True) -> float:
     """sup over lattice points of |P{S_n=N} - expansion term|."""
-    law = sum_law(p, n)
+    x, probs = _window(sum_law(p, n), 0)
     mom = moments(p)
-    sigma = math.sqrt(mom.sigma2)
-    x = law.points(law.offset + np.arange(len(law.dense)))
-    y = (x - n * mom.mu) / (sigma * math.sqrt(n))
-    phi = np.exp(-0.5 * y * y) / SQRT_2PI
-    corr = 1.0 + (y ** 3 - 3.0 * y) * mom.mu3 / (6.0 * sigma ** 3 * math.sqrt(n)) \
-        if with_correction else 1.0
-    approx = (p.D / (sigma * math.sqrt(n))) * phi * corr
-    return float(np.max(np.abs(law.dense - approx)))
+    approx = (edgeworth3_term(p, n, x) if with_correction
+              else gaussian_local_term(x, n * mom.mu, n * mom.sigma2, p.D))
+    return float(np.max(np.abs(probs - approx)))
 
 
 # -- summed variation distance ----------------------------------------------------
 
 
 def variation_distance(law: SumLawTable, A: Optional[float] = None,
-                       B: Optional[float] = None, tail_sigmas: float = 40.0) -> float:
+                       B: Optional[float] = None) -> float:
     """Sum over lattice points of |P{S_n=m} - (D/(B sqrt(2 pi))) exp(...)|.
 
     Defaults center A and scale B to the table moments.  Lattice points
     beyond the stored window contribute their Gaussian term only; the sum is
-    extended ``tail_sigmas`` scale units past the window on both sides, which
-    exhausts the tail to double precision.
+    extended 40 scale units past the window on both sides, which exhausts
+    the tail to double precision.
     """
     if A is None:
         A = law.meta.mu
@@ -235,13 +229,8 @@ def variation_distance(law: SumLawTable, A: Optional[float] = None,
         B = math.sqrt(law.meta.sigma2)
     if not B > 0:
         raise PreconditionError("scale B must be positive")
-    pad = int(math.ceil(tail_sigmas * B / law.D)) + 2
-    k = np.arange(law.offset - pad, law.offset + len(law.dense) + pad)
-    x = law.points(k)
-    probs = np.zeros(len(k))
-    probs[pad:pad + len(law.dense)] = law.dense
-    gauss = (law.D / (B * SQRT_2PI)) * np.exp(-((x - A) ** 2) / (2.0 * B * B))
-    return float(np.abs(probs - gauss).sum())
+    x, probs = _window(law, int(math.ceil(40.0 * B / law.D)) + 2)
+    return float(np.abs(probs - gaussian_local_term(x, A, B * B, law.D)).sum())
 
 
 # -- one-sided stable branch -------------------------------------------------------
@@ -382,11 +371,11 @@ def stable_llt_error(p: LatticePmf, n: int, x_max: float = 60.0) -> ApproxReport
 
 
 def doney_ratio(p: LatticePmf, n: int, m: int, mu: Optional[float] = None,
-                eps: float = 0.5, window_pad: int = 4) -> float:
+                eps: float = 0.5) -> float:
     """P{S_n = m} / (n P{X = m - round(n mu)}) for a finite-mean heavy tail.
 
-    Requires m >= (mu + eps) n.  Truncation renormalisation is undone on both
-    sides so the ratio refers to the untruncated law.
+    Requires m >= (mu + eps) n; the sum law stops 4 indices past m.  Truncation
+    renormalisation is undone on both sides so the ratio refers to the untruncated law.
     """
     if mu is None:
         mu = moments(p).mu
@@ -394,7 +383,7 @@ def doney_ratio(p: LatticePmf, n: int, m: int, mu: Optional[float] = None,
         raise PreconditionError("doney_ratio needs a finite mean")
     if m < (mu + eps) * n:
         raise PreconditionError(f"m >= (mu + eps) n fails: {m} < {(mu + eps) * n}")
-    cap = m + window_pad
+    cap = m + 4
     if p.family is not None and p.family["truncation_index"] < cap:
         raise PreconditionError("family truncated below the requested point")
     law = sum_law(p, n, max_index=cap if p.offset >= 0 else None)
@@ -426,7 +415,7 @@ def mukhin_criterion(p: LatticePmf, n: int, v: Optional[int] = None) -> float:
     if v is None:
         eps_n = sup_cdf_distance(law)
         v = max(1, math.floor(math.sqrt(eps_n) * bn))
-    probs = np.concatenate([np.zeros(v), law.dense, np.zeros(v)])
+    probs = _window(law, v)[1]
     worst = 0.0
     for j in range(1, v + 1):
         d = float(np.max(np.abs(probs[j:] - probs[:-j])))
@@ -444,14 +433,13 @@ class QuadratureLowerBound:
     lambda_n: float
 
 
-def gamkrelidze_lower_check(p: LatticePmf, n: int, k: int,
-                            quad_tol: float = 1e-9) -> QuadratureLowerBound:
+def gamkrelidze_lower_check(p: LatticePmf, n: int, k: int) -> QuadratureLowerBound:
     """Quadrature lower bound on the tail integral of |cf(S_n)|^2.
 
     lhs = (1/4pi) int_{2pi/(2k+1) <= |t| <= pi} |cf_{S_n}(t)|^2 dt,
     rhs = (1/(2 sqrt(pi) B_n))(1 - e^{-k^2/(4 B_n^2)}) + 2 Lambda_n / B_n with
     Lambda_n = 2.01 (Delta_n + e^{-pi^2 B_n^2}/(2 sqrt(pi))); lhs <= rhs holds
-    whenever the local approximation is any good.
+    whenever the local approximation is any good (quadrature to 1e-9 absolute).
     """
     from scipy.integrate import quad
 
@@ -468,7 +456,7 @@ def gamkrelidze_lower_check(p: LatticePmf, n: int, k: int,
     lo = 2.0 * math.pi / (2 * k + 1)
     if lo >= math.pi:
         raise PreconditionError("window 2pi/(2k+1) <= |t| <= pi is empty")
-    val, err = quad(integrand, lo, math.pi, epsabs=quad_tol, limit=400)
+    val, err = quad(integrand, lo, math.pi, epsabs=1e-9, limit=400)
     if err > max(1e-6, 1e-3 * max(val, 1e-12)):
         raise PreconditionError(f"quadrature did not converge: err={err}")
     lhs = 2.0 * val / (4.0 * math.pi)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .exact import RunningConvolution, _visit_tables, _WeightedDP, sum_law, weighted_sum_law
-from .lattice import SQRT_2PI, LatticePmf, adjacent_overlap, moments
+from .lattice import MASS_TOL, SQRT_2PI, LatticePmf, adjacent_overlap, moments
 from .rng import stream
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -169,7 +169,15 @@ def hit_mass_sequence(p: LatticePmf, a_index, N: int) -> np.ndarray:
 
 def _mass_totals(p: LatticePmf, a_index: int, N: int,
                  masses: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Hit masses m_k = P{S_k = a} for k = 1..N (or the given ones) and their totals M_k."""
+    """Hit masses m_k = P{S_k = a} for k = 1..N (or the given ones) and their totals M_k.
+
+    The level a is an index, so a walk whose index increments have a nonzero
+    mean drifts away from it: sum_k P{S_k = a} is finite and no N suffices.
+    """
+    drift = float(np.dot(*p.atoms()))
+    if abs(drift) > MASS_TOL:
+        raise PreconditionError(f"index increments have mean {drift:.6g}, not 0: level "
+                                f"{a_index} is visited finitely often in expectation")
     m = hit_mass_sequence(p, a_index, N) if masses is None else masses
     if len(m) != N:
         raise PreconditionError(f"masses must hold N = {N} hit masses, not {len(m)}")

@@ -227,16 +227,15 @@ def ger2_bound(inp: EffectiveRateInput) -> float:
                      + (inp.h_n + 1.0 / theta) / math.sqrt(theta))
 
 
-def transfer_formula_check(a: float, b: float, y_law: SumLawTable,
-                           y_center: Optional[float] = None) -> dict:
+def transfer_formula_check(a: float, b: float, y_law: SumLawTable) -> dict:
     """Slack of |E e^{-a(b-Y)^2} - e^{-b^2/(2+1/a)}/sqrt(1+2a)| <= 4 sup|F_Y - Phi|.
 
-    Y is the (centered) lattice law given by ``y_law``; ``y_center`` shifts it
-    if its stored mean is not already zero.  Returns lhs, rhs and slack >= 0.
+    Y is the lattice law given by ``y_law``, centred at its stored mean (0 when
+    the mean is unknown).  Returns lhs, rhs and slack >= 0.
     """
     if a <= 0 or b < 0:
         raise PreconditionError("transfer formula needs a > 0, b >= 0")
-    center = y_center if y_center is not None else (y_law.meta.mu or 0.0)
+    center = y_law.meta.mu or 0.0
     supp, w = y_law.atoms()
     y = y_law.points(supp) - center
     lhs = abs(float(np.dot(w, np.exp(-a * (b - y) ** 2)))

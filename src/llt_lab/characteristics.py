@@ -31,7 +31,7 @@ def _integer_atoms(p: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CharacteristicsRecord:
-    """Bundle of characteristics evaluated on configured d- and h-grids."""
+    """Bundle of characteristics on the fixed d- and h-grids of ``characteristics_record``."""
 
     delta: float
     theta: float
@@ -126,14 +126,15 @@ def nu_char(p: LatticePmf, h: int) -> float:
     return float(1.0 - res.max())
 
 
-def characteristics_record(p: LatticePmf, d_grid=(0.5, 0.25, 0.125),
-                           h_grid=(2, 3, 4, 5)) -> CharacteristicsRecord:
+def characteristics_record(p: LatticePmf) -> CharacteristicsRecord:
+    """delta, theta, mukhin_D and mukhin_H at d = 1/2, 1/4, 1/8, and nu at h = 2..5."""
+    d_grid = (0.5, 0.25, 0.125)
     return CharacteristicsRecord(
         delta=delta_char(p),
         theta=theta_char(p),
         mukhinD={d: mukhin_D(p, d) for d in d_grid},
         H={d: mukhin_H(p, d) for d in d_grid},
-        nu={h: nu_char(p, h) for h in h_grid},
+        nu={h: nu_char(p, h) for h in (2, 3, 4, 5)},
     )
 
 

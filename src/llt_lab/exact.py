@@ -280,29 +280,21 @@ class JointCell:
         return 0.0
 
 
-def joint_law(p: LatticePmf, m: int, n: int,
-              a_window: tuple[int, int] | None = None,
-              b_window: tuple[int, int] | None = None) -> JointCell:
+def joint_law(p: LatticePmf, m: int, n: int) -> JointCell:
     """Exact joint law P(S_m = a, S_n = b) = P(S_m = a) P(S_{n-m} = b - a).
 
-    Windows are inclusive index ranges on the lattice of S_m resp. S_n;
-    omitted windows default to the full reachable range.
+    The table covers every reachable index a of S_m and b of S_n; row a holds
+    P(S_m = a) times the increment law, shifted by a.
     """
     if not 1 <= m < n:
         raise PreconditionError("joint_law requires 1 <= m < n")
-    law_m = sum_law(p, m)
-    law_inc = sum_law(p, n - m)
-    a_lo, a_hi = a_window if a_window else (law_m.offset, law_m.offset + len(law_m.dense) - 1)
-    b_lo, b_hi = b_window if b_window else (law_m.offset + law_inc.offset,
-                                            law_m.offset + len(law_m.dense) - 1
-                                            + law_inc.offset + len(law_inc.dense) - 1)
-    a_idx = np.arange(a_lo, a_hi + 1)
-    b_idx = np.arange(b_lo, b_hi + 1)
-    pa = np.array([law_m.prob(int(a)) for a in a_idx])
-    table = np.empty((len(a_idx), len(b_idx)))
-    for i, a in enumerate(a_idx):
-        inc = np.array([law_inc.prob(int(b - a)) for b in b_idx])
-        table[i] = pa[i] * inc
+    law_m, law_inc = sum_law(p, m), sum_law(p, n - m)
+    inc = law_inc.dense
+    a_idx = law_m.offset + np.arange(len(law_m.dense))
+    b_idx = law_m.offset + law_inc.offset + np.arange(len(a_idx) + len(inc) - 1)
+    table = np.zeros((len(a_idx), len(b_idx)))
+    for i, pa in enumerate(law_m.dense):
+        table[i, i:i + len(inc)] = pa * inc
     return JointCell(m=m, n=n, a_indices=a_idx, b_indices=b_idx, table=table)
 
 

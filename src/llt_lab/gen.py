@@ -28,13 +28,12 @@ def random_adjacent_pmf(rng: np.random.Generator, max_atoms: int = 8) -> Lattice
             return p
 
 
-def mixing_span1_pmf(rng: np.random.Generator, h_max: int = 5,
-                     min_sigma: float = 0.5, cf_cap: float = 0.97) -> LatticePmf:
+def mixing_span1_pmf(rng: np.random.Generator) -> LatticePmf:
     """Span-1 pmf whose residue characteristic functions are uniformly mixing.
 
-    Rejection-sampled so that max over h <= h_max, 0<r<h of |cf(2 pi r/h)| is
-    below ``cf_cap`` and the standard deviation is at least ``min_sigma``;
-    such laws show textbook local limit behaviour at desk-scale n.
+    Rejection-sampled so that max over h <= 5, 0<r<h of |cf(2 pi r/h)| is at
+    most 0.97 and the standard deviation is at least 0.5; such laws show
+    textbook local limit behaviour at desk-scale n.
     """
     while True:
         size = int(rng.integers(3, 7))
@@ -46,10 +45,10 @@ def mixing_span1_pmf(rng: np.random.Generator, h_max: int = 5,
         if maximal_span(p) != 1.0:
             continue
         mom = moments(p)
-        if mom.sigma2 < min_sigma ** 2:
+        if mom.sigma2 < 0.25:
             continue
-        ts = [2.0 * np.pi * r / h for h in range(2, h_max + 1) for r in range(1, h)]
-        if max(abs(char_fn(p, t)) for t in ts) > cf_cap:
+        ts = [2.0 * np.pi * r / h for h in range(2, 6) for r in range(1, h)]
+        if max(abs(char_fn(p, t)) for t in ts) > 0.97:
             continue
         return p
 

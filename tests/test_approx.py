@@ -6,8 +6,17 @@ import pytest
 from llt_lab import approx as ax
 from llt_lab.errors import DegenerateLawError, PreconditionError
 from llt_lab.exact import convolve_tables, sum_law
-from llt_lab.gen import mixing_span1_pmf, seeded
-from llt_lab.lattice import LatticePmf, bernoulli, moments, point_mass, uniform_range
+from llt_lab.gen import mixing_span1_pmf, random_adjacent_pmf, seeded
+from llt_lab.lattice import (
+    SQRT_2PI,
+    LatticePmf,
+    bernoulli,
+    centered_coin,
+    lazy_walk,
+    moments,
+    point_mass,
+    uniform_range,
+)
 
 
 # -- gaussian local term -------------------------------------------------------------
@@ -31,6 +40,84 @@ def test_gaussian_term_bernoulli_n10():
 def test_gaussian_term_rejects_zero_variance():
     with pytest.raises(DegenerateLawError):
         ax.gaussian_local_term(0.0, 0.0, 0.0, 1.0)
+
+
+def test_gaussian_and_edgeworth_terms_vectorise_over_the_point():
+    p = bernoulli(0.3)
+    mom = moments(p)
+    n = 40
+    xs = np.arange(-3.0, 30.5, 0.5)
+    curve = ax.gaussian_local_term(xs, n * mom.mu, n * mom.sigma2, 1.0)
+    expansion = ax.edgeworth3_term(p, n, xs)
+    for x, g, e in zip(xs.tolist(), curve, expansion):
+        g1 = ax.gaussian_local_term(x, n * mom.mu, n * mom.sigma2, 1.0)
+        e1 = ax.edgeworth3_term(p, n, x)
+        assert type(g1) is float and type(e1) is float
+        assert g1 == g and e1 == e
+
+
+# -- the written-out curves the shared local curve replaced ---------------------------
+
+
+def _reference_delta(law):
+    B = math.sqrt(law.meta.sigma2)
+    k = np.arange(law.offset - 1, law.offset + len(law.dense) + 1)
+    x = law.points(k)
+    probs = np.zeros(len(k))
+    probs[1:-1] = law.dense
+    gauss = (law.D / SQRT_2PI) * np.exp(-((x - law.meta.mu) ** 2) / (2.0 * law.meta.sigma2))
+    dev = np.abs(B * probs - gauss)
+    i = int(np.argmax(dev))
+    return float(dev[i]), float(x[i])
+
+
+def _reference_edgeworth_sup(p, n, with_correction):
+    law = sum_law(p, n)
+    mom = moments(p)
+    sigma = math.sqrt(mom.sigma2)
+    x = law.points(law.offset + np.arange(len(law.dense)))
+    y = (x - n * mom.mu) / (sigma * math.sqrt(n))
+    phi = np.exp(-0.5 * y * y) / SQRT_2PI
+    corr = 1.0 + (y ** 3 - 3.0 * y) * mom.mu3 / (6.0 * sigma ** 3 * math.sqrt(n)) \
+        if with_correction else 1.0
+    return float(np.max(np.abs(law.dense - (p.D / (sigma * math.sqrt(n))) * phi * corr)))
+
+
+def _reference_variation(law):
+    A, B = law.meta.mu, math.sqrt(law.meta.sigma2)
+    pad = int(math.ceil(40.0 * B / law.D)) + 2
+    k = np.arange(law.offset - pad, law.offset + len(law.dense) + pad)
+    x = law.points(k)
+    probs = np.zeros(len(k))
+    probs[pad:pad + len(law.dense)] = law.dense
+    gauss = (law.D / (B * SQRT_2PI)) * np.exp(-((x - A) ** 2) / (2.0 * B * B))
+    return float(np.abs(probs - gauss).sum())
+
+
+def _reference_fair_coin_constant():
+    worst, n = 0.0, 16
+    while n <= 4096:
+        law = sum_law(bernoulli(0.5), n)
+        k = law.offset + np.arange(len(law.dense))
+        gauss = math.sqrt(2.0 / (math.pi * n)) * np.exp(-((2 * k - n) ** 2) / (2.0 * n))
+        worst = max(worst, float(np.max(np.abs(law.dense - gauss))) * n ** 1.5)
+        n *= 2
+    return worst
+
+
+def test_local_functionals_match_the_written_out_curves():
+    rng = seeded(808)
+    laws = [random_adjacent_pmf(rng) for _ in range(30)] + [mixing_span1_pmf(rng) for _ in range(30)]
+    laws += [centered_coin(), lazy_walk(), uniform_range(-2, 3)]
+    for p in laws:
+        for n in (4, 32, 256, 1024):
+            law = sum_law(p, n)
+            assert ax.delta_from_table(law) == _reference_delta(law)
+            assert abs(ax.variation_distance(law) - _reference_variation(law)) <= 1e-15
+            for corr in (True, False):
+                assert abs(ax.edgeworth3_sup_error(p, n, with_correction=corr)
+                           - _reference_edgeworth_sup(p, n, corr)) <= 1e-15
+    assert ax.measure_lltber_constant() == _reference_fair_coin_constant()
 
 
 # -- scaled sup error ----------------------------------------------------------------

@@ -175,6 +175,16 @@ def test_chung_erdos_insufficient_mass():
         asl.chung_erdos_path(lazy_walk(), 0, 4, seed=1)
 
 
+def test_chung_erdos_rejects_a_drifting_index_walk():
+    # index increments {0, 1}: sum_k P{S_k = 3} = 2 for the fair coin, so no N gives M_N >= 2;
+    # the centred coin has value mean 0 but the same index increments
+    for p in (bernoulli(0.5), centered_coin(), bernoulli(0.9)):
+        with pytest.raises(PreconditionError, match="visited finitely often in expectation"):
+            asl.chung_erdos_expectation(p, 3, 5000)
+        with pytest.raises(PreconditionError, match="visited finitely often in expectation"):
+            asl.chung_erdos_path(p, 3, 5000, seed=1)
+
+
 def test_chung_erdos_degenerate_rejected():
     from llt_lab.lattice import point_mass
 

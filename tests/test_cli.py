@@ -53,6 +53,16 @@ def test_delta_n_reproducible_bytes(tmp_path):
     assert (a_dir / "delta_n.csv").read_bytes() == (b_dir / "delta_n.csv").read_bytes()
 
 
+def test_asllt_ce_on_a_drifting_walk_exits_2(tmp_path, capsys):
+    code = run_cli(["asllt", "--kind", "ce", "--dist", "bernoulli:0.5", "--a", "3",
+                    "--N", "5000"], tmp_path)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PreconditionError"
+    assert "visited finitely often in expectation" in err["detail"]
+    assert not (tmp_path / "asllt_ce.csv").exists()
+
+
 def test_asllt_command_dickman(tmp_path):
     assert run_cli(["asllt", "--kind", "dickman", "--x", "1.0", "--N", "2000",
                     "--seed", "7"], tmp_path) == 0

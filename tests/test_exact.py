@@ -152,6 +152,22 @@ def test_joint_law_marginals_match_sum_laws():
             assert marg_b[i] == pytest.approx(law_n.prob(int(b)), abs=1e-10)
 
 
+def test_joint_law_every_cell_is_a_product_of_two_sum_laws():
+    laws = (bernoulli(0.3), LatticePmf(0.0, 1.0, {-1: 0.25, 0: 0.5, 1: 0.25}),
+            LatticePmf(0.5, 1.0, {0: 0.2, 2: 0.5, 3: 0.3}))
+    for p in laws:
+        for m, n in ((1, 2), (3, 7), (10, 40), (39, 40)):
+            j = joint_law(p, m, n)
+            law_m, law_inc, law_n = sum_law(p, m), sum_law(p, n - m), sum_law(p, n)
+            assert j.a_indices.tolist() == list(range(law_m.offset,
+                                                      law_m.offset + len(law_m.dense)))
+            assert j.b_indices.tolist() == list(range(law_n.offset,
+                                                      law_n.offset + len(law_n.dense)))
+            for ia, a in enumerate(j.a_indices.tolist()):
+                for ib, b in enumerate(j.b_indices.tolist()):
+                    assert j.table[ia, ib] == law_m.prob(a) * law_inc.prob(b - a)
+
+
 def _grid_side_limit_sup(law, center, scale):
     """Dense-grid oracle for the sup CDF distance with side limits."""
     supp = law.support
