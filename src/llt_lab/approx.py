@@ -343,8 +343,10 @@ _density_table = lru_cache(maxsize=None)(StableDensityTable)
 def stable_llt_error(p: LatticePmf, n: int, x_max: float = 60.0) -> ApproxReport:
     """sup_m |B_n P{S_n=m} - g(m/B_n)| for a discretised power-tail pmf.
 
-    The sum law is computed exactly on the window m <= x_max * B_n (heavy-tail
-    supports only grow, so a cap loses nothing inside the window) and the
+    The sum law is computed exactly on the window m <= x_max * B_n, for every
+    n >= 1 (heavy-tail supports only grow, so a cap loses nothing inside the
+    window, and the summand law is cut to the window before it is convolved,
+    so the cost follows the window, not the truncation index), and the
     per-variable truncation renormalisation is undone by the factor
     (1 - discarded)^n before comparing against the limit density.
     """

@@ -141,8 +141,10 @@ def cmd_asllt(args) -> int:
         raise LltLabError(f"unknown estimator kind {kind!r}")
 
     masses = None
-    if kind == "ce":
-        masses = asl.hit_mass_sequence(parse_dist(args.dist), args.a, args.N)
+    if kind == "ce":  # one mass sequence for all seeds, once the walk is known to return
+        walk = parse_dist(args.dist)
+        asl.require_recurrent(walk, args.a)
+        masses = asl.hit_mass_sequence(walk, args.a, args.N)
     with ThreadPoolExecutor(max_workers=worker_count(len(seeds))) as pool:
         estimates = list(pool.map(one, seeds))
     out = Path(args.out) / f"asllt_{kind}.csv"

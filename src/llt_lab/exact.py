@@ -99,8 +99,12 @@ def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
 
     Uses repeated squaring of convolutions.  ``max_index`` caps the stored
     index window; it is only allowed for laws supported on nonnegative
-    indices, where overflow mass can never re-enter the window, so stored
-    values stay exact.  ``method`` is "auto", "direct" or "fft".
+    indices, where an atom past the cap can only feed sums past the cap, so
+    stored values stay exact.  Each factor is cut to the window before it is
+    convolved and every product is cut again, so a capped table costs time
+    and memory in proportion to the cap, not to the width of ``p``.
+    ``lost_mass`` counts underflow inside the window; ``beyond_mass`` is the
+    rest of the deficit.  ``method`` is "auto", "direct" or "fft".
 
     The last few results are reused: a call with the same law object and
     arguments returns the same table, whose mass array is read-only.
@@ -110,18 +114,15 @@ def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
     if max_index is not None and p.offset < 0:
         raise PreconditionError("support cap requires nonnegative support indices")
 
-    def cap(arr: np.ndarray, off: int) -> tuple[np.ndarray, int, float]:
-        if max_index is None:
-            return arr, off, 0.0
-        hi = max_index - off + 1
-        if hi >= len(arr):
-            return arr, off, 0.0
-        if hi <= 0:
+    def cap(arr: np.ndarray, off: int) -> np.ndarray:
+        """The part of ``arr`` (first index ``off``) at or below ``max_index``."""
+        if max_index is None or max_index - off + 1 >= len(arr):
+            return arr
+        if max_index < off:
             raise PreconditionError("support cap below the smallest reachable index")
-        overflow = float(arr[hi:].sum())
-        return arr[:hi], off, overflow
+        return arr[:max_index - off + 1]
 
-    base = p.dense
+    base = cap(p.dense, p.offset)
     base_off = p.offset
     acc = None
     acc_off = 0
@@ -132,20 +133,16 @@ def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
             if acc is None:
                 acc, acc_off = base.copy(), base_off
             else:
-                acc = _convolve(acc, base, method)
                 acc_off += base_off
-                acc, lost_i = _floor_small(acc)
+                acc, lost_i = _floor_small(cap(_convolve(acc, base, method), acc_off))
                 lost += lost_i
-                acc, acc_off, _ = cap(acc, acc_off)
         m >>= 1
         if m > 0:
             if len(base) * 2 > MAX_WINDOW:
                 raise ResourceLimitError("convolution window exceeds memory budget")
-            base = _convolve(base, base, method)
             base_off *= 2
-            base, lost_b = _floor_small(base)
+            base, lost_b = _floor_small(cap(_convolve(base, base, method), base_off))
             lost += lost_b
-            base, base_off, _ = cap(base, base_off)
     # window masses are exact under a cap, so the pushed-out mass is the
     # conservation deficit (intermediate caps do not track descendants)
     beyond = max(0.0, 1.0 - float(acc.sum()) - lost) if max_index is not None else 0.0

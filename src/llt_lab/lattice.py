@@ -191,7 +191,8 @@ class LatticePmf(LatticeWindow):
                 }
             )
         supp, masses = self.atoms()
-        pmf = [[k, m] for k, m in zip(supp.tolist(), masses.tolist())]
+        # json writes each (k, m) tuple as the array [k, m]
+        pmf = list(zip(supp.tolist(), masses.tolist()))
         return json.dumps({"v0": self.v0, "D": self.D, "pmf": pmf})
 
     @staticmethod

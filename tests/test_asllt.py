@@ -185,6 +185,25 @@ def test_chung_erdos_rejects_a_drifting_index_walk():
             asl.chung_erdos_path(p, 3, 5000, seed=1)
 
 
+def test_chung_erdos_counts_no_term_before_the_level_is_reachable():
+    # the lazy walk reaches level 3 first at step 3, so M_1 = M_2 = 0; level 0 at step 1
+    p, N = lazy_walk(), 2000
+    for level, first in ((0, 0), (3, 2)):
+        m = asl.hit_mass_sequence(p, level, N)
+        M = np.cumsum(m)
+        assert not M[:first].any() and M[first] > 0.0
+        terms = np.zeros(N)
+        terms[first:] = m[first:] / M[first:]
+        want = float(np.cumsum(terms)[-1] / math.log(M[-1]))
+        assert asl.chung_erdos_expectation(p, level, N) == want
+    finals = []
+    for seed in range(1, 6):
+        path = asl.chung_erdos_path(p, 3, N, seed=seed)
+        assert all(math.isfinite(v) for _, v in path.checkpoints)
+        finals.append(path.final)
+    assert min(finals) == 0.0 and max(finals) > 0.0
+
+
 def test_chung_erdos_degenerate_rejected():
     from llt_lab.lattice import point_mass
 
@@ -414,6 +433,18 @@ def test_markov_kappa_indices_match_the_direct_rounding():
             nf = n.astype(np.float64)
             ref = np.floor(nf * chain.pi[1] + kappa * sigma * np.sqrt(nf) + 0.5).astype(np.int64)
             assert np.array_equal(asl.markov_kappa_indices(chain, kappa, n), ref)
+
+
+def test_kappa_rule_index_matches_the_direct_expression():
+    n = np.arange(1, 20_001)
+    nf = n.astype(np.float64)
+    for v0, D in ((0.0, 1.0), (0.37, 2.0), (-1.5, 0.5)):
+        for kappa in (-2.3, 0.0, 0.41, 1.7):
+            rule = asl.KappaRule(mu=0.83, sigma=1.29, v0=v0, D=D, kappa=kappa)
+            x = nf * rule.mu + rule.kappa * rule.sigma * np.sqrt(nf) - nf * rule.v0
+            ref = np.floor(x / rule.D + 0.5).astype(np.int64)
+            assert np.array_equal(rule.index(n), ref)
+            assert int(rule.index(777)) == ref[776]
 
 
 def test_hit_mass_sequence_takes_one_target_per_step():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -61,6 +62,16 @@ def test_asllt_ce_on_a_drifting_walk_exits_2(tmp_path, capsys):
     assert err["error"] == "PreconditionError"
     assert "visited finitely often in expectation" in err["detail"]
     assert not (tmp_path / "asllt_ce.csv").exists()
+
+
+def test_asllt_ce_rejects_a_drifting_walk_before_computing_masses(tmp_path, capsys):
+    start = time.perf_counter()
+    code = run_cli(["asllt", "--kind", "ce", "--dist", "bernoulli:0.5", "--a", "3",
+                    "--N", "1000000"], tmp_path)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "visited finitely often in expectation" in json.loads(capsys.readouterr().err)["detail"]
+    assert elapsed < 2.0  # the hit masses over 10^6 steps would take several seconds
 
 
 def test_asllt_command_dickman(tmp_path):

@@ -19,7 +19,7 @@ from llt_lab.exact import (
     weighted_sum_law,
 )
 from llt_lab.gen import random_pmf, seeded
-from llt_lab.lattice import LatticePmf, bernoulli, point_mass, uniform_range
+from llt_lab.lattice import LatticePmf, bernoulli, point_mass, power_tail, uniform_range
 
 
 def test_sum_law_binomial_point():
@@ -74,6 +74,42 @@ def test_sum_law_mass_cap_is_exact_within_window():
         assert capped.prob(k) == pytest.approx(full.prob(k), abs=1e-15)
     assert capped.beyond_mass == pytest.approx(
         sum(full.prob(k) for k in range(13, 41)), abs=1e-12)
+
+
+def test_sum_law_of_one_summand_honours_the_cap():
+    capped = sum_law(uniform_range(0, 9), 1, max_index=3)
+    assert (capped.offset, len(capped.dense)) == (0, 4)
+    assert capped.dense.tolist() == [0.1] * 4
+    assert capped.beyond_mass == pytest.approx(0.6, abs=1e-15)
+    with pytest.raises(PreconditionError, match="support cap below"):
+        sum_law(uniform_range(5, 9), 1, max_index=3)
+
+
+def _direct_capped_power(p, n, top):
+    """P{S_n = k} for k <= top by direct convolutions, each product cut at top."""
+    f = np.zeros(top + 1)
+    f[p.offset:] = p.dense[:top + 1 - p.offset]
+    out, sq = np.array([1.0]), f
+    while n:
+        if n & 1:
+            out = np.convolve(out, sq)[:top + 1]
+        n >>= 1
+        if n:
+            sq = np.convolve(sq, sq)[:top + 1]
+    return out
+
+
+def test_capped_sum_law_matches_direct_convolution_at_doney_points():
+    # the heavy-tail Doney points: n = 32, m = 32 * (8, ..., 512), each table capped at m + 4
+    p = power_tail(1.5, max_index=200_000)
+    points = [32 * mult for mult in (8, 16, 32, 64, 128, 256, 512)]
+    oracle = _direct_capped_power(p, 32, points[-1])
+    for m in points:
+        law = sum_law(p, 32, max_index=m + 4)
+        assert law.offset + len(law.dense) - 1 == m + 4
+        assert law.prob(m) == pytest.approx(oracle[m], rel=1e-9, abs=0.0)
+        ledger = law.total_mass() + law.lost_mass + law.beyond_mass
+        assert ledger == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weighted_sum_dickman_small_cases():

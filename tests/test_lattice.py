@@ -102,6 +102,17 @@ def test_json_round_trip_bit_exact():
     assert q.to_json() == p.to_json()
 
 
+def test_json_text_is_the_list_of_pairs_encoding():
+    laws = [LatticePmf(0.25, 0.5, {-1: 1 / 3, 0: 1 / 3, 2: 1 / 3}),
+            LatticePmf(-1.75, 3.0, {4: 0.2, 7: 0.3, 9: 0.5}),
+            LatticePmf(0.0, 1.0, dict(power_tail(1.5, max_index=2000).weights)),
+            random_pmf(seeded(5))]
+    for p in laws:
+        supp, masses = p.atoms()
+        pmf = [[k, m] for k, m in zip(supp.tolist(), masses.tolist())]
+        assert p.to_json() == json.dumps({"v0": p.v0, "D": p.D, "pmf": pmf})
+
+
 def test_power_tail_masses_and_descriptor():
     p = power_tail(1.5)
     # p(j) proportional to j^-a - (j+1)^-a, renormalised over the truncation

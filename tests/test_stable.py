@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from llt_lab import approx
+from llt_lab import approx, exact
 from llt_lab.approx import (
     StableDensityTable,
     StableParams,
@@ -136,6 +136,21 @@ def test_stable_llt_baseline_and_uniform_bound(half_tail_pmf):
     assert math.isfinite(rep1.error) and rep1.error > 0
     sups = [stable_llt_error(half_tail_pmf, n, x_max=60.0).exact for n in (1, 8, 32)]
     assert max(sups) < 10.0  # uniform boundedness of B_n P(S_n = m)
+
+
+def test_stable_llt_error_at_n1_compares_the_law_on_the_window(half_tail_pmf):
+    p, x_max = half_tail_pmf, 60.0
+    bn = StableParams(alpha=0.5).b_n(1)
+    cap = math.ceil(x_max * bn)
+    law = exact.sum_law(p, 1, max_index=cap)
+    assert law.offset + len(law.dense) - 1 == cap
+    k = np.arange(p.offset, cap + 1)
+    vals = bn * p.dense[:len(k)] * (1.0 - p.discarded_mass)
+    table = approx._density_table(0.5, x_max)
+    g = np.interp(k / bn, table.x, table.g, left=0.0, right=0.0)
+    rep = stable_llt_error(p, 1, x_max=x_max)
+    assert rep.error == float(np.max(np.abs(vals - g)))
+    assert rep.exact == float(np.max(vals))
 
 
 def test_stable_llt_requires_family():
