@@ -11,7 +11,6 @@ written once, in ``_normal_curve``, and the zero-padded window once, in ``_windo
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,7 +25,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .exact import SumLawTable, sum_law, sup_cdf_distance
-from .lattice import SQRT_2PI, LatticePmf, bernoulli, char_fn, maximal_span, moments
+from .lattice import SQRT_2PI, LatticePmf, bernoulli, char_fn, maximal_span, moments, write_csv
 
 
 @dataclass(frozen=True)
@@ -41,23 +40,12 @@ class ApproxReport:
     normalization: str
     flags: tuple = ()
 
-    @staticmethod
-    def csv_header() -> list[str]:
-        return ["n", "metric", "exact", "approx", "error", "normalization"]
-
-    def csv_row(self) -> list:
-        return [self.n, self.metric, repr(self.exact), repr(self.approx),
-                repr(self.error), self.normalization]
-
 
 def write_reports_csv(path, reports: Sequence[ApproxReport], comment: str = "") -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if comment:
-            w.writerow([f"# {comment}"])
-        w.writerow(ApproxReport.csv_header())
-        for r in reports:
-            w.writerow(r.csv_row())
+    """One row per report; the flags are not part of the table."""
+    write_csv(path, ["n", "metric", "exact", "approx", "error", "normalization"],
+              ((r.n, r.metric, r.exact, r.approx, r.error, r.normalization) for r in reports),
+              comment)
 
 
 # -- Gaussian local term and Delta_n ------------------------------------------------

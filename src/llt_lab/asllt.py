@@ -9,7 +9,6 @@ from the convolution engine, isolating the deterministic part of the limit.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .exact import RunningConvolution, _visit_tables, _WeightedDP, sum_law, weighted_sum_law
-from .lattice import MASS_TOL, SQRT_2PI, LatticePmf, adjacent_overlap, moments
+from .lattice import MASS_TOL, SQRT_2PI, LatticePmf, adjacent_overlap, moments, write_csv
 from .rng import stream
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -49,12 +48,9 @@ class PathEstimate:
 
 
 def write_paths_csv(path, estimates: Sequence[PathEstimate]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "seed", "N", "estimate", "target"])
-        for est in estimates:
-            for n, value in est.checkpoints:
-                w.writerow([est.kind, est.seed, n, repr(value), repr(est.target)])
+    write_csv(path, ["kind", "seed", "N", "estimate", "target"],
+              ((est.kind, est.seed, n, value, est.target)
+               for est in estimates for n, value in est.checkpoints))
 
 
 def _checkpoints(N: int) -> list[int]:

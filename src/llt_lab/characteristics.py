@@ -10,7 +10,6 @@ symmetrised variant, and the residue-class concentration.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,8 +17,8 @@ from typing import Dict
 
 import numpy as np
 
-from .errors import PreconditionError
-from .lattice import LatticePmf, LatticeWindow, adjacent_overlap
+from .errors import PreconditionError, ResourceLimitError
+from .lattice import MAX_WINDOW, LatticePmf, LatticeWindow, adjacent_overlap, write_csv
 
 
 def _integer_atoms(p: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
@@ -40,17 +39,11 @@ class CharacteristicsRecord:
     nu: Dict[int, float]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["characteristic", "argument", "value"])
-            w.writerow(["delta", "", repr(self.delta)])
-            w.writerow(["theta", "", repr(self.theta)])
-            for d, v in self.mukhinD.items():
-                w.writerow(["D", repr(d), repr(v)])
-            for d, v in self.H.items():
-                w.writerow(["H", repr(d), repr(v)])
-            for h, v in self.nu.items():
-                w.writerow(["nu", h, repr(v)])
+        write_csv(path, ["characteristic", "argument", "value"],
+                  [("delta", "", self.delta), ("theta", "", self.theta)]
+                  + [("D", d, v) for d, v in self.mukhinD.items()]
+                  + [("H", d, v) for d, v in self.H.items()]
+                  + [("nu", h, v) for h, v in self.nu.items()])
 
 
 def delta_char(p: LatticePmf) -> float:
@@ -73,6 +66,8 @@ def symmetrized(p: LatticePmf) -> LatticePmf:
     Keeps its last 8 results, keyed on the law object, as ``exact.sum_law`` does.
     """
     _, w = p.integer_view()
+    if len(w) ** 2 > MAX_WINDOW:  # np.convolve takes O(width^2) time
+        raise ResourceLimitError(f"symmetrising a window of {len(w)} entries exceeds budget")
     conv = np.convolve(w, w[::-1])
     return LatticePmf._from_window(0.0, 1.0, 1 - len(w), conv / conv.sum())
 
@@ -98,6 +93,8 @@ def mukhin_D(p: LatticePmf, d: float) -> float:
         raise PreconditionError("mukhin_D requires |d| <= 1/2")
     if d == 0.0:
         return 0.0
+    if len(supp) ** 2 > MAX_WINDOW:  # the pieces x atoms matrix below
+        raise ResourceLimitError(f"mukhin_D over {len(supp)} atoms exceeds budget")
     y = supp * d
     kinks = np.sort((y - 0.5) % 1.0)
     # the midpoint of each piece between consecutive kinks; the last piece wraps round

@@ -9,7 +9,7 @@ is capped by the LLT_LAB_THREADS environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import math
 import sys
@@ -23,7 +23,8 @@ from .approx import delta_n_report, stable_llt_error, write_reports_csv
 from .characteristics import characteristics_record
 from .errors import LltLabError
 from .exact import sum_law
-from .lattice import LatticePmf, bernoulli, centered_coin, lazy_walk, power_tail, uniform_range
+from .lattice import (LatticePmf, bernoulli, centered_coin, lazy_walk, power_tail,
+                      uniform_range, write_csv)
 from .rng import worker_count
 from .suites import run_suite
 
@@ -78,14 +79,6 @@ def parse_seeds(args) -> list[int]:
     return [args.seed]
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list], comment: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"# {comment}"])
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _write_svg(path: Path, xs, ys, title: str) -> None:
     """Minimal deterministic polyline plot (log-free, scaled to the data box)."""
     W, H, pad = 640, 400, 40
@@ -125,26 +118,21 @@ def cmd_delta_n(args) -> int:
 def cmd_asllt(args) -> int:
     seeds = parse_seeds(args)
     kind = args.kind
-    rho = asl.dickman_rho() if kind == "dickman" else None
-
-    def one(seed: int):
-        if kind == "dickman":
-            return asl.asllt_dickman_path(args.N, seed, rho, x=args.x)
-        if kind == "t1":
-            return asl.asllt_path(parse_dist(args.dist), args.kappa, args.N, seed)
-        if kind == "ce":
-            return asl.chung_erdos_path(parse_dist(args.dist), args.a, args.N, seed,
-                                        masses=masses)
-        if kind == "markov":
-            chain = asl.TwoStateChain(args.p01, args.p10)
-            return asl.markov_asllt_path(chain, args.kappa, args.N, seed)
-        raise LltLabError(f"unknown estimator kind {kind!r}")
-
-    masses = None
-    if kind == "ce":  # one mass sequence for all seeds, once the walk is known to return
+    # the model is built once; laws and chains are immutable, so the threads share it
+    if kind == "dickman":
+        one = functools.partial(asl.asllt_dickman_path, args.N, rho=asl.dickman_rho(), x=args.x)
+    elif kind == "markov":
+        one = functools.partial(asl.markov_asllt_path, asl.TwoStateChain(args.p01, args.p10),
+                                args.kappa, args.N)
+    elif kind == "t1":
+        one = functools.partial(asl.asllt_path, parse_dist(args.dist), args.kappa, args.N)
+    elif kind == "ce":  # one mass sequence for all seeds, once the walk is known to return
         walk = parse_dist(args.dist)
         asl.require_recurrent(walk, args.a)
-        masses = asl.hit_mass_sequence(walk, args.a, args.N)
+        one = functools.partial(asl.chung_erdos_path, walk, args.a, args.N,
+                                masses=asl.hit_mass_sequence(walk, args.a, args.N))
+    else:
+        raise LltLabError(f"unknown estimator kind {kind!r}")
     with ThreadPoolExecutor(max_workers=worker_count(len(seeds))) as pool:
         estimates = list(pool.map(one, seeds))
     out = Path(args.out) / f"asllt_{kind}.csv"
@@ -163,8 +151,8 @@ def cmd_asllt(args) -> int:
 def cmd_dickman_rho(args) -> int:
     rho = asl.dickman_rho(u_max=args.u_max, step=args.step)
     out = Path(args.out) / "dickman_rho.csv"
-    rows = [[repr(i * rho.step), repr(float(v))] for i, v in enumerate(rho.values)]
-    _write_csv(out, ["u", "rho"], rows, "solution of u r'(u) + r(u-1) = 0, r=1 on [0,1]")
+    rows = ((i * rho.step, v) for i, v in enumerate(rho.values.tolist()))
+    write_csv(out, ["u", "rho"], rows, "solution of u r'(u) + r(u-1) = 0, r=1 on [0,1]")
     print(f"wrote {out}")
     return 0
 

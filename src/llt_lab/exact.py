@@ -10,7 +10,6 @@ floor whose dropped mass is reported, never hidden.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from .lattice import (
     LatticeWindow,
     MomentSummary,
     moments,
+    write_csv,
 )
 
 #: supports at or below this length convolve directly; larger ones use FFT
@@ -62,11 +62,8 @@ class SumLawTable(LatticeWindow):
     def to_csv(self, path) -> None:
         """Rows (k, value_point, mass) over the stored support."""
         supp, masses = self.atoms()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "value_point", "mass"])
-            writer.writerows(zip(supp.tolist(), map(repr, self.points(supp).tolist()),
-                                 map(repr, masses.tolist())))
+        write_csv(path, ["k", "value_point", "mass"],
+                  zip(supp.tolist(), self.points(supp).tolist(), masses.tolist()))
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, method: str = "auto") -> np.ndarray:

@@ -5,11 +5,12 @@ one dense window of masses over the index range offset .. offset+len-1; the
 exact engine's sum tables share that form (``LatticeWindow``).  Laws are
 immutable: every ``LatticePmf`` window is a read-only array, and so is the
 mass array of every table that ``exact.sum_law`` returns (it may be shared
-by several callers).
+by several callers).  ``write_csv`` writes every CSV table of the package.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -132,12 +133,14 @@ class LatticePmf(LatticeWindow):
 
     def _set_window(self, v0, D, offset, dense, family) -> None:
         """The single validation of every constructor; trims zero edges."""
+        if not (math.isfinite(v0) and math.isfinite(D)):
+            raise ValueError(f"origin v0 = {v0!r} and span D = {D!r} must be finite")
         if not (D > 0):
             raise ValueError("span D must be positive")
         if len(dense) > MAX_WINDOW:
             raise ResourceLimitError(f"dense window of {len(dense)} entries exceeds budget")
-        if np.any(dense < -MASS_TOL):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(dense >= -MASS_TOL):  # NaN fails the comparison too
+            raise ValueError("weights must be nonnegative numbers")
         if np.any(dense < 0):
             dense = np.maximum(dense, 0.0)
         total = dense.sum()
@@ -247,10 +250,12 @@ def power_tail(alpha: float, c: float = 1.0, tail_mass: float = 1e-10,
     one and the discarded mass is recorded on the family descriptor.  For
     c < 1 the deficit at the lattice origin is an atom at j = 0.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise UnsupportedParameterError("power tail requires alpha > 0")
     if not 0.0 < c <= 1.0:
         raise UnsupportedParameterError("tail constant c must lie in (0, 1]")
+    if not tail_mass >= 0:
+        raise UnsupportedParameterError("truncation mass must be >= 0")
     hard_cap = MAX_WINDOW >> 3
     J = math.ceil((c / tail_mass) ** (1.0 / alpha)) if tail_mass > 0 else hard_cap
     if max_index is not None:
@@ -333,3 +338,22 @@ def char_fn(p: LatticePmf, t) -> complex | np.ndarray:
     if np.isscalar(t) or t_arr.ndim == 0:
         return complex(vals.reshape(-1)[0])
     return vals
+
+
+# -- CSV tables -------------------------------------------------------------------
+
+
+def write_csv(path, header, rows, comment: str = "") -> None:
+    """Write one CSV table: a ``# comment`` row if a comment is given, the header, the rows.
+
+    Every table the package writes goes through here.  ``csv`` writes a
+    Python float as its ``repr``, the shortest string that reads back to the
+    same float.  Numpy scalars must pass through ``float()`` or ``.tolist()``
+    first: under numpy 2 an ``np.float64`` would be written as ``np.float64(...)``.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        if comment:
+            w.writerow([f"# {comment}"])
+        w.writerow(header)
+        w.writerows(rows)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -11,7 +10,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .exact import SumLawTable, weighted_sum_law
-from .lattice import LatticeWindow
+from .lattice import LatticeWindow, write_csv
 
 #: Poisson tails are truncated where the remaining mass drops below this
 POISSON_TAIL = 1e-14
@@ -128,12 +127,9 @@ class CouplingTable:
         return float(np.sum(self.ps))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "p", "both_one", "x_one_y_zero", "both_zero", "y_tail_total"])
-            for i, (b1, xo, b0, tail) in enumerate(self.rows):
-                w.writerow([i, repr(self.ps[i]), repr(b1), repr(xo), repr(b0),
-                            repr(float(np.sum(tail)))])
+        write_csv(path, ["i", "p", "both_one", "x_one_y_zero", "both_zero", "y_tail_total"],
+                  ((i, self.ps[i], b1, xo, b0, float(np.sum(tail)))
+                   for i, (b1, xo, b0, tail) in enumerate(self.rows)))
 
 
 def coupling(ps: Sequence[float]) -> CouplingTable:
@@ -183,8 +179,5 @@ def gap_table_csv(path, law, lam: float) -> None:
     arr = _as_array(law)
     pois = poisson_pmf(lam, k_max=len(arr) - 1)
     a, b = _aligned(arr, pois)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "exactMass", "poissonMass", "absGap"])
-        for k in range(len(a)):
-            w.writerow([k, repr(float(a[k])), repr(float(b[k])), repr(abs(float(a[k] - b[k])))])
+    write_csv(path, ["k", "exactMass", "poissonMass", "absGap"],
+              zip(range(len(a)), a.tolist(), b.tolist(), np.abs(a - b).tolist()))

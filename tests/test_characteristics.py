@@ -262,3 +262,24 @@ def test_mukhin_D_matches_grid_search_oracle():
 
 def test_mukhin_D_bernoulli_half_is_exact():
     assert ch.mukhin_D(bernoulli(0.5), 0.5) == 0.0625
+
+
+def test_wide_laws_fail_the_budget_before_allocating():
+    import time
+
+    from llt_lab.errors import ResourceLimitError
+    from llt_lab.lattice import uniform_range
+
+    p = uniform_range(0, 9000)  # 9001^2 entries exceed MAX_WINDOW = 2^26
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        ch.mukhin_D(p, 0.5)
+    with pytest.raises(ResourceLimitError):
+        ch.symmetrized(p)
+    with pytest.raises(ResourceLimitError):
+        ch.mukhin_H(p, 0.5)
+    assert time.perf_counter() - start < 0.5
+    # just under the budget both still run
+    q = uniform_range(0, 99)
+    assert ch.mukhin_D(q, 0.5) == pytest.approx(1 / 16, abs=1e-12)  # <k/2 - 1/4>^2
+    assert ch.symmetrized(q).support.tolist() == list(range(-99, 100))

@@ -180,3 +180,65 @@ def test_format_flag_only_where_an_svg_is_written(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["stable-error", "--alpha", "0.5", "--n", "4", "--format", "svg"], tmp_path)
     assert exc.value.code == 2
+
+
+NAN_SPECS = {
+    "nan_mass": '{"v0": 0, "D": 1, "pmf": [[0, 0.5], [1, NaN], [2, 0.5]]}',
+    "nan_origin": '{"v0": NaN, "D": 1, "pmf": [[0, 0.5], [1, 0.5]]}',
+    "infinite_span": '{"v0": 0, "D": Infinity, "pmf": [[0, 0.5], [1, 0.5]]}',
+}
+
+
+@pytest.mark.parametrize("spec", sorted(NAN_SPECS))
+@pytest.mark.parametrize("command", [["sum-law", "--N", "3"], ["delta-n", "--n", "4,8"]])
+def test_non_finite_spec_exits_2(tmp_path, capsys, spec, command):
+    path = tmp_path / "spec.json"
+    path.write_text(NAN_SPECS[spec])
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(command[:1] + ["--dist", str(path)] + command[1:], out) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert list(out.iterdir()) == []
+
+
+def test_power_tail_nan_exits_2_with_a_typed_error(tmp_path, capsys):
+    assert run_cli(["sum-law", "--dist", "power_tail:nan", "--N", "3"], tmp_path) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "UnsupportedParameterError"
+
+
+def test_characteristics_of_a_wide_law_exits_2(tmp_path, capsys):
+    assert run_cli(["characteristics", "--dist", "uniform:0..9000"], tmp_path) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ResourceLimitError"
+    assert not (tmp_path / "characteristics.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["t1", "ce"])
+def test_asllt_parses_the_dist_once(tmp_path, monkeypatch, kind):
+    import llt_lab.cli as cli
+
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return parse_dist(spec)
+
+    monkeypatch.setattr(cli, "parse_dist", counting)
+    assert run_cli(["asllt", "--kind", kind, "--dist", "lazy", "--N", "200",
+                    "--seeds", "0:6"], tmp_path) == 0
+    assert calls == ["lazy"]
+
+
+@pytest.mark.parametrize("args,name", [
+    (["dickman-rho", "--u-max", "3"], "dickman_rho.csv"),
+    (["stable-error", "--alpha", "0.5", "--n", "4", "--x-max", "40"], "stable_error.csv"),
+    (["characteristics", "--dist", "uniform:-2..3"], "characteristics.csv"),
+    (["sum-law", "--dist", "coin", "--N", "9"], "sum_law_9.csv"),
+])
+def test_table_commands_rerun_byte_identical(tmp_path, args, name):
+    bodies = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        out.mkdir()
+        assert run_cli(args, out) == 0
+        bodies.append((out / name).read_bytes())
+    assert bodies[0] == bodies[1]

@@ -166,3 +166,21 @@ def test_weights_view_rebuilds_the_same_window():
         q = LatticePmf(p.v0, p.D, p.weights)
         assert q.offset == p.offset
         assert q.dense.tobytes() == p.dense.tobytes()
+
+
+def test_non_finite_specs_are_rejected():
+    nan, inf = math.nan, math.inf
+    with pytest.raises(ValueError, match="nonnegative numbers"):
+        LatticePmf(0.0, 1.0, {0: 0.5, 1: nan, 2: 0.5})
+    for v0, D in ((nan, 1.0), (inf, 1.0), (0.0, inf), (0.0, nan)):
+        with pytest.raises(ValueError):
+            LatticePmf(v0, D, {0: 1.0})
+    with pytest.raises(ValueError, match="nonnegative numbers"):
+        LatticePmf.from_json('{"v0": 0, "D": 1, "pmf": [[0, 0.5], [1, NaN], [2, 0.5]]}')
+    with pytest.raises(ValueError, match="finite"):
+        LatticePmf.from_json('{"v0": NaN, "D": 1, "pmf": [[0, 1.0]]}')
+    with pytest.raises(UnsupportedParameterError):
+        power_tail(nan)
+    for tail_mass in (nan, -1e-10):
+        with pytest.raises(UnsupportedParameterError):
+            power_tail(0.5, tail_mass=tail_mass)
