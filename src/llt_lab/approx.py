@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     UnsupportedParameterError,
 )
-from .exact import SumLawTable, sum_law, sup_cdf_distance
+from .exact import SumLawTable, residues_mod, sum_law, sup_cdf_distance
 from .lattice import SQRT_2PI, LatticePmf, bernoulli, char_fn, maximal_span, moments, write_csv
 
 
@@ -486,9 +486,8 @@ def aud_diagnostics(ps: LatticePmf | Sequence[LatticePmf], n: int, h: int) -> Re
     dw_acc = np.ones(h - 1)
     roz_acc = 1.0
     for j, pj in enumerate(seq):
-        off, w = pj.integer_view()
-        step = np.zeros(h)
-        np.add.at(step, np.arange(off, off + len(w)) % h, w)
+        pj.integer_view()
+        step = residues_mod(pj, h)
         new = np.zeros(h)
         for r in range(h):
             if step[r]:

@@ -108,6 +108,10 @@ class KappaRule:
             raise PreconditionError("kappa rule needs positive variance")
         return cls(mu=mom.mu, sigma=math.sqrt(mom.sigma2), v0=p.v0, D=p.D, kappa=kappa)
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu, self.sigma, self.v0, self.D, self.kappa))):
+            raise PreconditionError(f"kappa rule fields must be finite: {self}")
+
     def index(self, n) -> np.ndarray:
         n = np.asarray(n, dtype=np.float64)
         # in place, in the rounding order of floor((n mu + kappa sigma sqrt(n) - n v0) / D + 1/2);
@@ -343,15 +347,12 @@ def markov_asllt_expectation(chain: TwoStateChain, kappa: float, N: int) -> floa
 
 
 def _cumquad4(g: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral over a uniform grid, 4th order, one-sided at the ends."""
+    """Cumulative integral over a uniform grid of >= 4 nodes, 4th order, one-sided at the ends."""
     n = len(g) - 1
     steps = np.empty(n)
-    if n >= 3:
-        steps[0] = h * (9 * g[0] + 19 * g[1] - 5 * g[2] + g[3]) / 24.0
-        steps[n - 1] = h * (g[n - 3] - 5 * g[n - 2] + 19 * g[n - 1] + 9 * g[n]) / 24.0
-        steps[1:n - 1] = h * (-g[0:n - 2] + 13 * g[1:n - 1] + 13 * g[2:n] - g[3:n + 1]) / 24.0
-    else:  # tiny grids: trapezoid fallback
-        steps[:] = h * (g[:-1] + g[1:]) / 2.0
+    steps[0] = h * (9 * g[0] + 19 * g[1] - 5 * g[2] + g[3]) / 24.0
+    steps[n - 1] = h * (g[n - 3] - 5 * g[n - 2] + 19 * g[n - 1] + 9 * g[n]) / 24.0
+    steps[1:n - 1] = h * (-g[0:n - 2] + 13 * g[1:n - 1] + 13 * g[2:n] - g[3:n + 1]) / 24.0
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
@@ -459,8 +460,8 @@ def asllt_dickman_path(N: int, seed: int, rho: DickmanRho, x: float = 1.0) -> Pa
     terms happen to cancel the harmonic-sum surplus).
     """
     _require_horizon(N, 4)
-    if x < 1.0:
-        raise PreconditionError("round(x n) must be strictly increasing: need x >= 1")
+    if not 1.0 <= x < math.inf:  # NaN fails the comparison too
+        raise PreconditionError("round(x n) must be strictly increasing: need a finite x >= 1")
     k = np.arange(1, N + 1)
     t = np.cumsum(k * (stream(seed).random(N) < 1.0 / k))
     hits = (t == np.floor(x * k + 0.5).astype(np.int64)).astype(np.float64)

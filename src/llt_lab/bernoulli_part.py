@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NoBernoulliComponentError, PreconditionError
 from .exact import SumLawTable, sum_law, sup_cdf_distance, weighted_sum_law
-from .lattice import SQRT_2PI, LatticePmf, adjacent_overlap as theta_max
+from .lattice import SQRT_2PI, LatticePmf, adjacent_overlap as theta_max, bernoulli
 from .rng import stream
 
 
@@ -129,24 +129,20 @@ def rho_bound(h: float, theta_n: float) -> float:
     return 2.0 * math.exp(-h * h * theta_n / (2.0 * (1.0 + h / 3.0)))
 
 
+def _count_tail(law: SumLawTable, mu: float, h: float) -> float:
+    """P{|K - mu| > h mu} for a count K with law ``law``: a sum of exact table masses."""
+    k = law.offset + np.arange(len(law.dense))
+    return float(law.dense[np.abs(k - mu) > h * mu].sum())
+
+
 def rho_exact_iid(n: int, theta: float, h: float) -> float:
     """Exact P{|Binomial(n, theta) - n theta| > h n theta} (strict inequality)."""
-    from scipy.stats import binom  # scipy.stats is slow to import and only needed here
-
-    mu = n * theta
-    lo_in = max(math.ceil(mu - h * mu), 0)
-    hi_in = min(math.floor(mu + h * mu), n)
-    inside = binom.cdf(hi_in, n, theta) - (binom.cdf(lo_in - 1, n, theta) if lo_in > 0 else 0.0)
-    return float(max(0.0, 1.0 - inside))
+    return _count_tail(sum_law(bernoulli(theta), n), n * theta, h)
 
 
 def rho_exact_counts(thetas, h: float) -> float:
     """Exact tail of a Poisson-binomial count of eps hits (independent case)."""
-    law = weighted_sum_law([1] * len(thetas), thetas)
-    mu = float(np.sum(thetas))
-    k = law.offset + np.arange(len(law.dense))
-    outside = np.abs(k - mu) > h * mu
-    return float(law.dense[outside].sum())
+    return _count_tail(weighted_sum_law([1] * len(thetas), thetas), float(np.sum(thetas)), h)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Dict
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError
+from .exact import residues_mod
 from .lattice import MAX_WINDOW, LatticePmf, LatticeWindow, adjacent_overlap, write_csv
 
 
@@ -115,12 +116,8 @@ def mukhin_H(p: LatticePmf, d: float) -> float:
 
 def nu_char(p: LatticePmf, h: int) -> float:
     """min_j P{X != j (mod h)} -- residue-class spread, 0 for a point mass."""
-    supp, masses = _integer_atoms(p)
-    if h < 2:
-        raise PreconditionError("nu_char requires h >= 2")
-    res = np.zeros(h)
-    np.add.at(res, supp % h, masses)
-    return float(1.0 - res.max())
+    p.integer_view()
+    return float(1.0 - residues_mod(p, h).max())
 
 
 def characteristics_record(p: LatticePmf) -> CharacteristicsRecord:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -156,11 +156,11 @@ def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
                        meta=meta, lost_mass=lost, beyond_mass=beyond)
 
 
-def convolve_tables(a: SumLawTable, b: SumLawTable, method: str = "auto") -> SumLawTable:
+def convolve_tables(a: SumLawTable, b: SumLawTable) -> SumLawTable:
     """Law of the independent sum of two partial sums on lattices of the same span."""
     if a.D != b.D:
         raise PreconditionError("tables must share the lattice span")
-    probs = _convolve(a.dense, b.dense, method)
+    probs = _convolve(a.dense, b.dense)
     probs, lost = _floor_small(probs)
     mu = None if a.meta.mu is None or b.meta.mu is None else a.meta.mu + b.meta.mu
     s2 = None if a.meta.sigma2 is None or b.meta.sigma2 is None else a.meta.sigma2 + b.meta.sigma2
@@ -357,14 +357,13 @@ def _lattice_cdf_pairs(law: SumLawTable, center: float, scale: float):
 
 
 def sup_cdf_distance(law: SumLawTable, center: Optional[float] = None,
-                     scale: Optional[float] = None,
-                     reference: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
-    """sup_x |P{(S_n - center)/scale < x} - G(x)| for a continuous reference G.
+                     scale: Optional[float] = None) -> float:
+    """sup_x |P{(S_n - center)/scale < x} - Phi(x)| for the standard normal CDF Phi.
 
     The lattice CDF is left-continuous with jumps at the atoms, so the
     supremum is attained at a jump approached from either side; both sides
     are evaluated and the max taken.  Defaults: center/scale from the table
-    moments, reference the standard normal CDF.
+    moments.
     """
     if center is None:
         center = law.meta.mu
@@ -374,9 +373,8 @@ def sup_cdf_distance(law: SumLawTable, center: Optional[float] = None,
         scale = math.sqrt(law.meta.sigma2)
     if not scale > 0:
         raise DegenerateLawError("scale must be positive")
-    G = reference if reference is not None else ndtr
     x, below, at = _lattice_cdf_pairs(law, center, scale)
-    g = np.asarray(G(x), dtype=np.float64)
+    g = ndtr(x)
     return float(np.max(np.maximum(np.abs(below - g), np.abs(at - g))))
 
 
@@ -394,8 +392,8 @@ def lattice_cdf_sup_distance(a: SumLawTable, b: SumLawTable) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def residues_mod(law: SumLawTable, h: int) -> np.ndarray:
-    """Distribution of S_n mod h; requires the lattice to be integral."""
+def residues_mod(law: LatticeWindow, h: int) -> np.ndarray:
+    """Law of the value mod h, for a law or a sum table on an integral lattice."""
     if h < 2:
         raise PreconditionError("residue modulus must be >= 2")
     if abs(law.origin - round(law.origin)) > 1e-9 or abs(law.D - round(law.D)) > 1e-9:

@@ -200,12 +200,21 @@ class LatticePmf(LatticeWindow):
 
     @staticmethod
     def from_json(text: str) -> "LatticePmf":
+        """Law from a distribution spec; a malformed spec raises ValueError naming the fault."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"a law spec must be a JSON object, not {type(obj).__name__}")
         if obj.get("family") == "power_tail":
             return power_tail(obj["alpha"], c=obj.get("c", 1.0),
                               tail_mass=obj.get("truncation_mass", 1e-10))
-        weights = {int(k): float(m) for k, m in obj["pmf"]}
-        return LatticePmf(float(obj["v0"]), float(obj["D"]), weights)
+        try:
+            weights = {k: float(m) for k, m in obj["pmf"]}
+            v0, D = float(obj["v0"]), float(obj["D"])
+        except TypeError as exc:  # "pmf" not a list of pairs, or an entry not a number
+            raise ValueError(f'"pmf" must be a list of [index, mass] number pairs: {exc}') from None
+        if not all(type(k) is int for k in weights):  # a float index would be truncated
+            raise ValueError("pmf indices must be JSON integers")
+        return LatticePmf(v0, D, weights)
 
 
 # -- constructors for common laws -----------------------------------------------

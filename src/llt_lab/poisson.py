@@ -19,8 +19,8 @@ POISSON_K_CAP = 200
 
 def poisson_pmf(lam: float, k_max: int | None = None) -> np.ndarray:
     """Poisson masses 0..K with tail below POISSON_TAIL; K may not pass POISSON_K_CAP."""
-    if lam < 0:
-        raise PreconditionError("Poisson mean must be nonnegative")
+    if not 0.0 <= lam < math.inf:  # NaN fails the comparison too
+        raise PreconditionError(f"Poisson mean must be finite and nonnegative, got {lam!r}")
     out = [math.exp(-lam)]
     total = out[0]
     k = 0
@@ -122,9 +122,6 @@ class CouplingTable:
     def row_sum(self, i: int) -> float:
         both_one, x_only, both_zero, tail = self.rows[i]
         return both_one + x_only + both_zero + float(np.sum(tail))
-
-    def lam(self) -> float:
-        return float(np.sum(self.ps))
 
     def to_csv(self, path) -> None:
         write_csv(path, ["i", "p", "both_one", "x_one_y_zero", "both_zero", "y_tail_total"],

@@ -50,12 +50,12 @@ def identities_suite(cases: int = 50, seed: int = 2024) -> list[Check]:
 
 def _mixture_law(dec, n: int) -> LatticePmf:
     """Exact law of W_n + D * M_n by conditioning on the eps count."""
-    from scipy.stats import binom
-
     theta, w = dec.theta, dec.law.dense
     # laws of V given eps = 1, 0: for theta <= theta_X both end atoms have
     # eps = 0, so the window runs over the indices 2k_min .. 2k_max
     v1, v0 = w[1::2] / theta, w[0::2] / (1 - theta)
+    counts = sum_law(bernoulli(theta), n).dense  # Binomial(n, theta) from index 0
+    coin = bernoulli(0.5)
     total = 0.0
     # V draws are exchangeable given the eps count
     for count in range(n + 1):
@@ -63,8 +63,9 @@ def _mixture_law(dec, n: int) -> LatticePmf:
         for v in [v1] * count + [v0] * (n - count):
             law = np.convolve(law, v)
         # add D * Binomial(count, 1/2) in index steps of 1
-        law = np.convolve(law, binom.pmf(np.arange(count + 1), count, 0.5))
-        total = total + binom.pmf(count, n, theta) * law
+        if count:
+            law = np.convolve(law, sum_law(coin, count).dense)
+        total = total + counts[count] * law
     return LatticePmf._from_window(dec.source.v0 * n, dec.source.D, n * dec.source.offset, total)
 
 

@@ -6,7 +6,7 @@ import pytest
 from llt_lab import approx as ax
 from llt_lab.errors import DegenerateLawError, PreconditionError
 from llt_lab.exact import convolve_tables, sum_law
-from llt_lab.gen import mixing_span1_pmf, random_adjacent_pmf, seeded
+from llt_lab.gen import mixing_span1_pmf, random_adjacent_pmf, random_pmf, seeded
 from llt_lab.lattice import (
     SQRT_2PI,
     LatticePmf,
@@ -428,3 +428,35 @@ def test_aud_residues_fold_the_origin():
     # unit mass at the value 1: the residue mod 2 is 1, not index 0
     diag = ax.aud_diagnostics(LatticePmf(1.0, 1.0, {0: 1.0}), 1, 2)
     assert list(diag.residues) == [0.0, 1.0]
+
+
+def _reference_residue_fold(seq, h):
+    """Residue law of the sum and Rozanov products, each summand folded over its whole window."""
+    res = np.zeros(h)
+    res[0] = 1.0
+    roz, roz_acc = [], 1.0
+    for pj in seq:
+        off, w = pj.integer_view()
+        step = np.zeros(h)
+        np.add.at(step, np.arange(off, off + len(w)) % h, w)
+        new = np.zeros(h)
+        for r in range(h):
+            if step[r]:
+                new += step[r] * np.roll(res, r)
+        res = new
+        roz_acc *= float(step.max())
+        roz.append(roz_acc)
+    return res, np.array(roz)
+
+
+def test_aud_residues_equal_the_written_out_fold_bit_for_bit():
+    rng = seeded(56)
+    for _ in range(10):
+        n = int(rng.integers(1, 9))
+        seq = [random_pmf(rng, span=int(rng.integers(1, 4))) for _ in range(n)]
+        seq = [LatticePmf(float(rng.integers(-5, 6)), 1.0, p.weights) for p in seq]
+        for h in (2, 3, 5, 8):
+            diag = ax.aud_diagnostics(seq, n, h)
+            res, roz = _reference_residue_fold(seq, h)
+            assert diag.residues.tobytes() == res.tobytes()
+            assert diag.rozanov_partial_products.tobytes() == roz.tobytes()

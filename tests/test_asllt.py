@@ -481,3 +481,22 @@ def test_chung_erdos_checkpoints_start_once_the_mass_exceeds_one():
     path = asl.chung_erdos_path(p, 0, 2000, seed=1)
     assert [n for n, _ in path.checkpoints][0] == 16
     assert all(M[n - 1] > 1.0 and v >= 0.0 for n, v in path.checkpoints)
+
+
+def test_kappa_rule_rejects_non_finite_fields():
+    nan, inf = math.nan, math.inf
+    fields = dict(mu=0.5, sigma=0.5, v0=0.0, D=1.0, kappa=0.0)
+    for name in fields:
+        for bad in (nan, inf):
+            with pytest.raises(PreconditionError, match="finite"):
+                asl.KappaRule(**{**fields, name: bad})
+    with pytest.raises(PreconditionError):
+        asl.asllt_path(bernoulli(0.5), nan, 100, 0)
+    with pytest.raises(PreconditionError):
+        asl.markov_asllt_path(asl.TwoStateChain(0.3, 0.4), inf, 100, 0)
+
+
+def test_dickman_path_rejects_a_non_finite_slope(rho):
+    for x in (math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="finite x >= 1"):
+            asl.asllt_dickman_path(100, 0, rho, x=x)

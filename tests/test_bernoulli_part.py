@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -395,3 +397,49 @@ def test_effective_input_validation():
     with pytest.raises(PreconditionError):
         bp.EffectiveRateInput(n=4, var_sn=1.0, mean_sn=0.0, theta_n=2.0,
                               h_n=0.1, rho_n=0.0, h=1.5, D=1.0, C0=0.3)
+
+
+def _rational_count_tails(n, theta, h):
+    """Every admissible P{|B - n theta| > h n theta}, B ~ Binomial(n, theta), in exact rationals.
+
+    The strict tail of the float inputs, plus any subset of the atoms within
+    1e-9 of the boundary: there the float n theta (1 -+ h) may round across
+    the integer, which decides one whole atom.
+    """
+    t, hh = Fraction(theta), Fraction(h)
+    mu, r = n * t, hh * n * t
+    term, strict, ties = (1 - t) ** n, Fraction(0), []
+    for k in range(n + 1):
+        gap = abs(k - mu) - r
+        if abs(gap) < Fraction(1, 10**9):
+            ties.append(term)
+        elif gap > 0:
+            strict += term
+        term = term * (n - k) / (k + 1) * t / (1 - t)
+    return [strict + sum(c) for m in range(len(ties) + 1) for c in itertools.combinations(ties, m)]
+
+
+def test_rho_exact_iid_matches_rational_oracle():
+    grid = itertools.product((1, 17, 100, 256), (0.05, 0.3, 0.5, 0.9), (0.13, 0.5, 0.9))
+    for n, theta, h in grid:
+        got = Fraction(bp.rho_exact_iid(n, theta, h))
+        tails = _rational_count_tails(n, theta, h)
+        assert any(abs(got - tail) <= tail / 10**13 for tail in tails), (n, theta, h)
+
+
+def test_rho_exact_iid_resolves_tails_far_below_one_ulp_of_one():
+    # 1 - P{inside} rounds to 0 here; the table sums the outside masses
+    tail = bp.rho_exact_iid(256, 0.5, 0.9)
+    assert tail == pytest.approx(2.3116539602127787e-57, rel=1e-13, abs=0)
+
+
+def test_rho_exact_counts_sums_the_table_masses_outside_the_band():
+    rng = seeded(66)
+    for _ in range(20):
+        thetas = rng.uniform(0.05, 0.95, size=int(rng.integers(5, 40)))
+        h = float(rng.uniform(0.1, 0.9))
+        law = weighted_sum_law([1] * len(thetas), thetas)
+        mu = float(np.sum(thetas))
+        k = law.offset + np.arange(len(law.dense))
+        expected = float(law.dense[np.abs(k - mu) > h * mu].sum())
+        assert bp.rho_exact_counts(thetas, h).hex() == expected.hex()

@@ -283,3 +283,22 @@ def test_wide_laws_fail_the_budget_before_allocating():
     q = uniform_range(0, 99)
     assert ch.mukhin_D(q, 0.5) == pytest.approx(1 / 16, abs=1e-12)  # <k/2 - 1/4>^2
     assert ch.symmetrized(q).support.tolist() == list(range(-99, 100))
+
+
+def _reference_nu(p, h):
+    """nu from a residue fold written out over the positive integer atoms."""
+    off, w = p.integer_view()
+    nz = np.flatnonzero(w > 0)
+    res = np.zeros(h)
+    np.add.at(res, (off + nz) % h, w[nz])
+    return float(1.0 - res.max())
+
+
+def test_nu_equals_the_written_out_residue_fold_bit_for_bit():
+    rng = seeded(48)
+    laws = [random_pmf(rng, span=s) for s in (1, 2, 3) for _ in range(10)]
+    laws += [LatticePmf(float(v0), 1.0, p.weights) for v0, p in zip((-7, 3, 12), laws)]
+    laws += [LatticePmf(0.0, 1.0, {-k: m for k, m in p.weights.items()}) for p in laws[:5]]
+    for p in laws:
+        for h in (2, 3, 4, 5, 7, 13):
+            assert ch.nu_char(p, h).hex() == _reference_nu(p, h).hex(), (p.to_json(), h)

@@ -242,3 +242,57 @@ def test_table_commands_rerun_byte_identical(tmp_path, args, name):
         assert run_cli(args, out) == 0
         bodies.append((out / name).read_bytes())
     assert bodies[0] == bodies[1]
+
+
+MALFORMED_SPECS = {
+    "fractional_index": '{"v0": 0, "D": 1, "pmf": [[0.5, 0.5], [2, 0.5]]}',
+    "pmf_not_a_list": '{"v0": 0, "D": 1, "pmf": 5}',
+    "top_level_list": '[[0, 0.5], [1, 0.5]]',
+}
+
+
+@pytest.mark.parametrize("spec", sorted(MALFORMED_SPECS))
+def test_malformed_explicit_spec_exits_2(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(MALFORMED_SPECS[spec])
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["sum-law", "--dist", str(path), "--N", "2"], out) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [["--kind", "t1", "--kappa", "nan"],
+                                  ["--kind", "markov", "--kappa", "inf"],
+                                  ["--kind", "dickman", "--x", "nan"]])
+def test_asllt_non_finite_target_exits_2(tmp_path, capsys, args):
+    assert run_cli(["asllt", "--N", "100"] + args, tmp_path) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "PreconditionError"
+    assert list(tmp_path.iterdir()) == []
+
+
+VERIFY_CHECKS = (
+    "delta = 2(1 - theta)", "coin-extraction reconstruction", "smoothed-sum variance identity",
+    "sum decomposition identity", "variance >= (1/4) theta", "D(X,d) >= d^2 theta/4",
+    "nu/(2h^3) <= D(X,1/h) <= nu/4", "cf bounds via H", "cf bound via delta",
+    "delta shrinks under convolution", "poisson full-sum bound", "pointwise poisson bound",
+    "worked binomial example", "coupling rows sum to one", "scaled local error decreasing",
+    "variation distance decreasing", "dickman value at 2", "span-1 pmf local error small",
+)
+
+
+def test_verify_all_suites_pass(capsys):
+    assert main(["verify", "--suite", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  (")[0] for line in lines[:-1]] == [f"[PASS] {c}" for c in VERIFY_CHECKS]
+    assert lines[-1] == "18/18 checks passed"
+
+
+def test_verify_and_count_tails_leave_out_scipy_stats():
+    code = ("import sys; from llt_lab.cli import main; "
+            "from llt_lab.bernoulli_part import rho_exact_iid; "
+            "rc = main(['verify', '--suite', 'all']); rho_exact_iid(256, 0.3, 0.5); "
+            "print(rc, 'scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

@@ -184,3 +184,22 @@ def test_non_finite_specs_are_rejected():
     for tail_mass in (nan, -1e-10):
         with pytest.raises(UnsupportedParameterError):
             power_tail(0.5, tail_mass=tail_mass)
+
+
+def test_malformed_explicit_specs_raise_value_error():
+    assert LatticePmf.from_json('{"v0": 0, "D": 1, "pmf": [[0, 0.5], [2, 0.5]]}').weights \
+        == {0: 0.5, 2: 0.5}
+    specs = {
+        '{"v0": 0, "D": 1, "pmf": [[0.5, 0.5], [2, 0.5]]}': "JSON integers",
+        '{"v0": 0, "D": 1, "pmf": [[0, 0.5], [2.0, 0.5]]}': "JSON integers",
+        '{"v0": 0, "D": 1, "pmf": [[true, 0.5], [2, 0.5]]}': "JSON integers",
+        '{"v0": 0, "D": 1, "pmf": 5}': "pairs",
+        '{"v0": 0, "D": 1, "pmf": [5]}': "pairs",
+        '{"v0": 0, "D": 1, "pmf": [[0, null]]}': "pairs",
+        '{"v0": null, "D": 1, "pmf": [[0, 1.0]]}': "pairs",
+        '[[0, 0.5], [1, 0.5]]': "JSON object",
+        '"coin"': "JSON object",
+    }
+    for text, fault in specs.items():
+        with pytest.raises(ValueError, match=fault):
+            LatticePmf.from_json(text)

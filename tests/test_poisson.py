@@ -226,3 +226,10 @@ def test_tv_lattice_law_with_integral_origin():
     from llt_lab.lattice import LatticePmf
 
     assert ps.tv_distance(LatticePmf(1.0, 1.0, {0: 1.0}), np.array([0.0, 1.0])) == 0.0
+
+
+def test_poisson_pmf_rejects_a_non_finite_or_negative_mean():
+    for lam in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(PreconditionError, match="finite and nonnegative"):
+            ps.poisson_pmf(lam)
+    assert ps.poisson_pmf(0.0).tolist() == [1.0]
