@@ -34,7 +34,6 @@ class PathEstimate:
     seed: int
     target: float
     checkpoints: tuple  # ((N, estimate), ...)
-    kappa_desc: str = ""
 
     @property
     def final(self) -> float:
@@ -123,9 +122,6 @@ class KappaRule:
         x += 0.5
         return np.floor(x, out=x).astype(np.int64)
 
-    def describe(self) -> str:
-        return f"nearest lattice point to n*mu + {self.kappa}*sigma*sqrt(n)"
-
 
 def asllt_target(p: LatticePmf, kappa: float) -> float:
     """Limit value D/(sqrt(2 pi) sigma) * exp(-kappa^2/2) of the hit average."""
@@ -149,7 +145,7 @@ def asllt_path(p: LatticePmf, kappa: float, N: int, seed: int) -> PathEstimate:
     n = np.arange(1, N + 1)
     hits = (ks == rule.index(n)) / np.sqrt(n)
     return PathEstimate(kind="t1", seed=seed, target=asllt_target(p, kappa),
-                        checkpoints=_log_average(hits, N), kappa_desc=rule.describe())
+                        checkpoints=_log_average(hits, N))
 
 
 def asllt_expectation(p: LatticePmf, kappa: float, N: int) -> float:
@@ -215,8 +211,7 @@ def chung_erdos_path(p: LatticePmf, a_index: int, N: int, seed: int,
     _, M = _mass_totals(p, a_index, N, masses)
     ks = _simulate_index_path(p, N, stream(seed))
     return PathEstimate(kind="chung_erdos", seed=seed, target=1.0,
-                        checkpoints=_log_average(_per_mass(ks == a_index, M), N, norm=M),
-                        kappa_desc=f"fixed level a={a_index}")
+                        checkpoints=_log_average(_per_mass(ks == a_index, M), N, norm=M))
 
 
 def chung_erdos_expectation(p: LatticePmf, a_index: int, N: int,
@@ -327,8 +322,7 @@ def markov_asllt_path(chain: TwoStateChain, kappa: float, N: int, seed: int) -> 
     hits = ones == markov_kappa_indices(chain, kappa, nu)
     cps = _log_average(hits * (math.sqrt(chain.sigma2) / np.sqrt(nu)), N)
     target = math.exp(-0.5 * kappa * kappa) / SQRT_2PI
-    return PathEstimate(kind="markov", seed=seed, target=target, checkpoints=cps,
-                        kappa_desc=f"-nu*pi1 + round(nu*pi1 + {kappa}*sigma*sqrt(nu))")
+    return PathEstimate(kind="markov", seed=seed, target=target, checkpoints=cps)
 
 
 def markov_asllt_expectation(chain: TwoStateChain, kappa: float, N: int) -> float:
@@ -466,7 +460,7 @@ def asllt_dickman_path(N: int, seed: int, rho: DickmanRho, x: float = 1.0) -> Pa
     t = np.cumsum(k * (stream(seed).random(N) < 1.0 / k))
     hits = (t == np.floor(x * k + 0.5).astype(np.int64)).astype(np.float64)
     return PathEstimate(kind="dickman", seed=seed, target=math.exp(-EULER_GAMMA) * float(rho(x)),
-                        checkpoints=_log_average(hits, N), kappa_desc=f"round({x} n)")
+                        checkpoints=_log_average(hits, N))
 
 
 def dickman_expectation(N: int, x: float, rho: Optional[DickmanRho] = None) -> float:
@@ -476,8 +470,8 @@ def dickman_expectation(N: int, x: float, rho: Optional[DickmanRho] = None) -> f
     kept so that calls passing one still work.
     """
     _require_horizon(N, 2)
-    if not x >= 0.0:
-        raise PreconditionError("the target round(x n) needs x >= 0")
+    if not 0.0 <= x < math.inf:  # NaN fails the comparison too
+        raise PreconditionError(f"the target round(x n) needs a finite x >= 0, got {x!r}")
     dp = _WeightedDP(int(math.floor(x * N + 0.5)) + 1)
     m = np.zeros(N)  # P{T_n = round(x n)}; 0 above the reachable range
     for n in range(1, N + 1):

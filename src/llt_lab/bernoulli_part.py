@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -129,20 +130,22 @@ def rho_bound(h: float, theta_n: float) -> float:
     return 2.0 * math.exp(-h * h * theta_n / (2.0 * (1.0 + h / 3.0)))
 
 
-def _count_tail(law: SumLawTable, mu: float, h: float) -> float:
+def _count_tail(law: SumLawTable, mu: Fraction, h: float) -> float:
     """P{|K - mu| > h mu} for a count K with law ``law``: a sum of exact table masses."""
+    r = Fraction(h) * mu  # exact rationals: rounding cannot move an edge atom across the band
     k = law.offset + np.arange(len(law.dense))
-    return float(law.dense[np.abs(k - mu) > h * mu].sum())
+    return float(law.dense[(k < math.ceil(mu - r)) | (k > math.floor(mu + r))].sum())
 
 
 def rho_exact_iid(n: int, theta: float, h: float) -> float:
     """Exact P{|Binomial(n, theta) - n theta| > h n theta} (strict inequality)."""
-    return _count_tail(sum_law(bernoulli(theta), n), n * theta, h)
+    return _count_tail(sum_law(bernoulli(theta), n), n * Fraction(theta), h)
 
 
 def rho_exact_counts(thetas, h: float) -> float:
     """Exact tail of a Poisson-binomial count of eps hits (independent case)."""
-    return _count_tail(weighted_sum_law([1] * len(thetas), thetas), float(np.sum(thetas)), h)
+    mu = Fraction(float(np.sum(thetas)))
+    return _count_tail(weighted_sum_law([1] * len(thetas), thetas), mu, h)
 
 
 @dataclass(frozen=True)

@@ -205,8 +205,10 @@ class LatticePmf(LatticeWindow):
         if not isinstance(obj, dict):
             raise ValueError(f"a law spec must be a JSON object, not {type(obj).__name__}")
         if obj.get("family") == "power_tail":
-            return power_tail(obj["alpha"], c=obj.get("c", 1.0),
-                              tail_mass=obj.get("truncation_mass", 1e-10))
+            args = (obj.get("alpha"), obj.get("c", 1.0), obj.get("truncation_mass", 1e-10))
+            if not all(type(a) in (int, float) for a in args):  # a missing alpha is None
+                raise ValueError("power_tail alpha, c and truncation_mass must be JSON numbers")
+            return power_tail(*args)
         try:
             weights = {k: float(m) for k, m in obj["pmf"]}
             v0, D = float(obj["v0"]), float(obj["D"])

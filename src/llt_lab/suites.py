@@ -59,12 +59,9 @@ def _mixture_law(dec, n: int) -> LatticePmf:
     total = 0.0
     # V draws are exchangeable given the eps count
     for count in range(n + 1):
-        law = np.ones(1)
-        for v in [v1] * count + [v0] * (n - count):
-            law = np.convolve(law, v)
         # add D * Binomial(count, 1/2) in index steps of 1
-        if count:
-            law = np.convolve(law, sum_law(coin, count).dense)
+        coins = [sum_law(coin, count).dense] if count else []
+        law = ps.convolve_laws([v1] * count + [v0] * (n - count) + coins)
         total = total + counts[count] * law
     return LatticePmf._from_window(dec.source.v0 * n, dec.source.D, n * dec.source.offset, total)
 

@@ -464,6 +464,12 @@ def test_dickman_expectation_rejects_negative_slope():
     assert asl.dickman_expectation(50, 0.0) == 0.0  # T_n >= Z_1 = 1, so T_n = 0 never happens
 
 
+def test_dickman_expectation_rejects_a_non_finite_slope():
+    for x in (math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="finite"):
+            asl.dickman_expectation(10, x)
+
+
 def test_chung_erdos_masses_must_cover_the_horizon():
     p = lazy_walk()
     masses = asl.hit_mass_sequence(p, 0, 400)

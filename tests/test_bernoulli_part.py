@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from llt_lab import bernoulli_part as bp
+from llt_lab import suites
 from llt_lab.errors import NoBernoulliComponentError, PreconditionError
 from llt_lab.exact import sum_law, sup_cdf_distance, weighted_sum_law
 from llt_lab.gen import random_adjacent_pmf, seeded
@@ -443,3 +444,70 @@ def test_rho_exact_counts_sums_the_table_masses_outside_the_band():
         k = law.offset + np.arange(len(law.dense))
         expected = float(law.dense[np.abs(k - mu) > h * mu].sum())
         assert bp.rho_exact_counts(thetas, h).hex() == expected.hex()
+
+
+def _strict_rational_tail(n, theta, h, mu=None):
+    """P{|B - mu| > h mu}, B ~ Binomial(n, theta), in exact rationals; mu defaults to n theta."""
+    t, hh = Fraction(theta), Fraction(h)
+    mu = n * t if mu is None else mu
+    term, tail = (1 - t) ** n, Fraction(0)
+    for k in range(n + 1):
+        if abs(k - mu) > hh * mu:
+            tail += term
+        term = term * (n - k) / (k + 1) * t / (1 - t)
+    return tail
+
+
+def test_rho_exact_iid_keeps_boundary_atoms_inside_the_band():
+    # at (100, 0.3, 0.5) the float n theta is 30.000000000000004, which put k = 15 outside
+    assert bp.rho_exact_iid(100, 0.3, 0.5) == pytest.approx(1.243087032785575e-3, rel=1e-13)
+    grid = itertools.product((10, 20, 50, 100, 120), (0.1, 0.2, 0.3, 0.6, 0.7, 0.9),
+                             (0.1, 0.2, 0.25, 0.5, 0.75))
+    near = 0
+    for n, theta, h in grid:
+        mu = n * Fraction(theta)
+        edges = (mu * (1 - Fraction(h)), mu * (1 + Fraction(h)))
+        if min(abs(e - round(e)) for e in edges) >= Fraction(1, 10**9):
+            continue
+        near += 1
+        tail = _strict_rational_tail(n, theta, h)
+        assert abs(Fraction(bp.rho_exact_iid(n, theta, h)) - tail) <= tail / 10**13, \
+            (n, theta, h)
+    assert near >= 50
+
+
+def test_rho_exact_counts_decides_the_band_of_its_float_mean_exactly():
+    # a band decided in floats put one edge atom on the wrong side at the first three points
+    for n, theta, h in ((20, 0.2, 0.75), (50, 0.9, 0.6), (60, 0.6, 0.75), (100, 0.3, 0.5)):
+        thetas = [theta] * n
+        tail = _strict_rational_tail(n, theta, h, mu=Fraction(float(np.sum(thetas))))
+        assert abs(Fraction(bp.rho_exact_counts(thetas, h)) - tail) <= tail / 10**12, \
+            (n, theta, h)
+
+
+def _old_mixture_law(dec, n):
+    # the per-count np.convolve loop that suites._mixture_law replaced
+    theta, w = dec.theta, dec.law.dense
+    v1, v0 = w[1::2] / theta, w[0::2] / (1 - theta)
+    counts = sum_law(bernoulli(theta), n).dense
+    coin = bernoulli(0.5)
+    total = 0.0
+    for count in range(n + 1):
+        law = np.ones(1)
+        for v in [v1] * count + [v0] * (n - count):
+            law = np.convolve(law, v)
+        if count:
+            law = np.convolve(law, sum_law(coin, count).dense)
+        total = total + counts[count] * law
+    return LatticePmf._from_window(dec.source.v0 * n, dec.source.D, n * dec.source.offset, total)
+
+
+def test_mixture_law_equals_the_old_per_count_loop_byte_for_byte():
+    # the laws and sizes of identities_suite(cases=50, seed=2024), drawn in the same order
+    rng = seeded(2024)
+    for _ in range(50):
+        dec = bp.decompose(random_adjacent_pmf(rng))
+        n = int(rng.integers(2, 7))
+        got, want = suites._mixture_law(dec, n), _old_mixture_law(dec, n)
+        assert (got.v0, got.D, got.offset) == (want.v0, want.D, want.offset)
+        assert got.dense.tobytes() == want.dense.tobytes()

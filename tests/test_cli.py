@@ -262,6 +262,19 @@ def test_malformed_explicit_spec_exits_2(tmp_path, capsys, spec):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("spec", ['{"family": "power_tail", "alpha": "x"}',
+                                  '{"family": "power_tail"}',
+                                  '{"family": "power_tail", "alpha": 1.5, "c": null}'])
+def test_malformed_power_tail_spec_exits_2(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["sum-law", "--dist", str(path), "--N", "2"], out) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("args", [["--kind", "t1", "--kappa", "nan"],
                                   ["--kind", "markov", "--kappa", "inf"],
                                   ["--kind", "dickman", "--x", "nan"]])

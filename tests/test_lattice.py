@@ -203,3 +203,22 @@ def test_malformed_explicit_specs_raise_value_error():
     for text, fault in specs.items():
         with pytest.raises(ValueError, match=fault):
             LatticePmf.from_json(text)
+
+
+def test_power_tail_spec_fields_must_be_json_numbers():
+    assert LatticePmf.from_json('{"family": "power_tail", "alpha": 2, "c": 1, '
+                                '"truncation_mass": 0.001}').family["alpha"] == 2.0
+    specs = [
+        '{"family": "power_tail"}',
+        '{"family": "power_tail", "alpha": "x"}',
+        '{"family": "power_tail", "alpha": null}',
+        '{"family": "power_tail", "alpha": true}',
+        '{"family": "power_tail", "alpha": [1.5]}',
+        '{"family": "power_tail", "alpha": 1.5, "c": "1"}',
+        '{"family": "power_tail", "alpha": 1.5, "c": null}',
+        '{"family": "power_tail", "alpha": 1.5, "truncation_mass": false}',
+        '{"family": "power_tail", "alpha": 1.5, "truncation_mass": {}}',
+    ]
+    for text in specs:
+        with pytest.raises(ValueError, match="JSON numbers"):
+            LatticePmf.from_json(text)

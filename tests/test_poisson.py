@@ -233,3 +233,28 @@ def test_poisson_pmf_rejects_a_non_finite_or_negative_mean():
         with pytest.raises(PreconditionError, match="finite and nonnegative"):
             ps.poisson_pmf(lam)
     assert ps.poisson_pmf(0.0).tolist() == [1.0]
+
+
+def _old_convolve_laws(laws):
+    # the sequential np.convolve loop that convolve_laws replaced
+    out = np.array([1.0])
+    for law in laws:
+        out = np.convolve(out, ps._as_array(law))
+    return out
+
+
+def test_convolve_laws_equals_the_old_loop_byte_for_byte():
+    rng = seeded(121)
+    cases = [[]] + [[rng.dirichlet(np.ones(int(rng.integers(2, 9))))
+                     for _ in range(int(rng.integers(1, 41)))] for _ in range(200)]
+    for laws in cases:
+        got = ps.convolve_laws(laws)
+        assert got.tobytes() == _old_convolve_laws(laws).tobytes(), len(laws)
+    assert ps.convolve_laws([]).tolist() == [1.0]
+
+
+def test_convolve_laws_of_one_law_is_a_fresh_equal_array():
+    law = np.array([0.25, 0.5, 0.25])
+    got = ps.convolve_laws([law])
+    assert got is not law and not np.shares_memory(got, law)
+    assert got.tobytes() == _old_convolve_laws([law]).tobytes() == law.tobytes()
