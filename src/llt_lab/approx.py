@@ -340,6 +340,8 @@ def stable_llt_error(p: LatticePmf, n: int, x_max: float = 60.0) -> ApproxReport
     """
     if p.family is None:
         raise PreconditionError("stable_llt_error needs the power-tail family")
+    if not 0.0 < x_max < math.inf:  # NaN fails the comparison too
+        raise PreconditionError(f"x_max must be finite and > 0, got {x_max!r}")
     params = StableParams(alpha=p.family["alpha"], c=p.family["c"])
     bn = params.b_n(n)
     cap = int(math.ceil(x_max * bn))

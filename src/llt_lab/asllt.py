@@ -15,9 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .exact import RunningConvolution, _visit_tables, _WeightedDP, sum_law, weighted_sum_law
-from .lattice import MASS_TOL, SQRT_2PI, LatticePmf, adjacent_overlap, moments, write_csv
+from .lattice import (MASS_TOL, MAX_WINDOW, SQRT_2PI, LatticePmf, adjacent_overlap, moments,
+                      write_csv)
 from .rng import stream
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -292,8 +293,6 @@ def _simulate_chain(chain: TwoStateChain, N: int, rng) -> np.ndarray:
     pi0, pi1 = chain.pi
     u = rng.random(N)
     first = 1 if u[0] < pi1 else 0
-    if N == 1:
-        return np.array([first], dtype=np.int64)
     v = u[1:]
     p01, p10 = chain.p01, chain.p10
     from0 = v < p01          # next state 1 when currently 0
@@ -392,12 +391,16 @@ def dickman_rho(u_max: float = 20.0, step: float = 1.0 / 1024.0) -> DickmanRho:
     interval integrates a fully known function; a 4th-order cumulative rule
     per piece keeps kinks at the integers on grid nodes.
     """
-    if step > 1e-3 + 1e-15:
-        raise PreconditionError("step must be <= 1e-3")
+    if not 0.0 < step <= 1e-3 + 1e-15:  # NaN fails the comparison too
+        raise PreconditionError(f"step must lie in (0, 1e-3], got {step!r}")
+    if not 0.0 < u_max < math.inf:
+        raise PreconditionError(f"u_max must be finite and > 0, got {u_max!r}")
+    units = int(math.ceil(u_max))
+    if units / step + 1 > MAX_WINDOW:  # before 1 / step can overflow
+        raise ResourceLimitError(f"a grid of step {step!r} up to {units} exceeds memory budget")
     m = round(1.0 / step)
     if abs(m * step - 1.0) > 1e-12:
         raise PreconditionError("step must divide 1 exactly")
-    units = int(math.ceil(u_max))
     values = np.empty(units * m + 1)
     values[: m + 1] = 1.0
     u = np.arange(units * m + 1) * step
@@ -410,14 +413,18 @@ def dickman_rho(u_max: float = 20.0, step: float = 1.0 / 1024.0) -> DickmanRho:
     return DickmanRho(step=step, u_max=float(units), values=values)
 
 
-def dickman_weights(n: int) -> tuple[list[int], list[float]]:
-    """Weights a_k = k and success probabilities 1/k of the Dickman model."""
-    return list(range(1, n + 1)), [1.0 / k for k in range(1, n + 1)]
-
-
 def dickman_sum_law(n: int, max_value: Optional[int] = None):
-    a, q = dickman_weights(n)
-    return weighted_sum_law(a, q, max_value=max_value)
+    """Law of T_n = sum k Z_k with Z_k ~ Bernoulli(1/k), k = 1..n."""
+    return weighted_sum_law(range(1, n + 1), [1.0 / k for k in range(1, n + 1)],
+                            max_value=max_value)
+
+
+def _dickman_index(x: float, n, least: float = 0.0):
+    """The Dickman target round(x n) = floor(x n + 1/2) as int64, for a finite x >= least."""
+    t = np.floor(np.multiply(x, n) + 0.5)
+    if not (least <= x and np.max(t) < 2.0 ** 63):  # NaN and inf fail too
+        raise PreconditionError(f"round(x n) needs a finite x >= {least:g}, x n < 2**63; got {x!r}")
+    return t.astype(np.int64)
 
 
 def dickman_llt_check(n: int, x: float, rho: DickmanRho):
@@ -425,7 +432,7 @@ def dickman_llt_check(n: int, x: float, rho: DickmanRho):
     from .approx import ApproxReport
 
     _require_horizon(n, 2)
-    kappa = round(x * n)
+    kappa = int(_dickman_index(x, n))
     law = dickman_sum_law(n, max_value=kappa)
     exact = n * law.prob(kappa)
     target = math.exp(-EULER_GAMMA) * float(rho(x))
@@ -454,11 +461,9 @@ def asllt_dickman_path(N: int, seed: int, rho: DickmanRho, x: float = 1.0) -> Pa
     terms happen to cancel the harmonic-sum surplus).
     """
     _require_horizon(N, 4)
-    if not 1.0 <= x < math.inf:  # NaN fails the comparison too
-        raise PreconditionError("round(x n) must be strictly increasing: need a finite x >= 1")
     k = np.arange(1, N + 1)
     t = np.cumsum(k * (stream(seed).random(N) < 1.0 / k))
-    hits = (t == np.floor(x * k + 0.5).astype(np.int64)).astype(np.float64)
+    hits = (t == _dickman_index(x, k, least=1.0)).astype(np.float64)  # x >= 1: round(x n) increases
     return PathEstimate(kind="dickman", seed=seed, target=math.exp(-EULER_GAMMA) * float(rho(x)),
                         checkpoints=_log_average(hits, N))
 
@@ -470,15 +475,12 @@ def dickman_expectation(N: int, x: float, rho: Optional[DickmanRho] = None) -> f
     kept so that calls passing one still work.
     """
     _require_horizon(N, 2)
-    if not 0.0 <= x < math.inf:  # NaN fails the comparison too
-        raise PreconditionError(f"the target round(x n) needs a finite x >= 0, got {x!r}")
-    dp = _WeightedDP(int(math.floor(x * N + 0.5)) + 1)
-    m = np.zeros(N)  # P{T_n = round(x n)}; 0 above the reachable range
-    for n in range(1, N + 1):
+    targets = _dickman_index(x, np.arange(1, N + 1)).tolist()
+    dp = _WeightedDP(targets[-1] + 1)
+    m = np.zeros(N)  # P{T_n = round(x n)}; the law is 0.0 above the reachable range
+    for n, kappa in enumerate(targets, 1):
         dp.step(n, 1.0 / n)
-        kappa = math.floor(x * n + 0.5)
-        if kappa <= dp.hi:
-            m[n - 1] = dp.law[kappa]
+        m[n - 1] = dp.law[kappa]
     return _log_average(m, N)[-1][1]
 
 

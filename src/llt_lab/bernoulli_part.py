@@ -132,6 +132,8 @@ def rho_bound(h: float, theta_n: float) -> float:
 
 def _count_tail(law: SumLawTable, mu: Fraction, h: float) -> float:
     """P{|K - mu| > h mu} for a count K with law ``law``: a sum of exact table masses."""
+    if not 0.0 <= h < math.inf:  # NaN fails the comparison too
+        raise PreconditionError(f"the band width h must be finite and >= 0, got {h!r}")
     r = Fraction(h) * mu  # exact rationals: rounding cannot move an edge atom across the band
     k = law.offset + np.arange(len(law.dense))
     return float(law.dense[(k < math.ceil(mu - r)) | (k > math.floor(mu + r))].sum())

@@ -199,6 +199,8 @@ class _WeightedDP:
     """
 
     def __init__(self, top: int):
+        if top + 1 > MAX_WINDOW:
+            raise ResourceLimitError("value range exceeds memory budget")
         self.law, self._tmp = np.zeros(top + 1), np.empty(top + 1)
         self.law[0] = 1.0
         self.top, self.hi, self.nz = top, 0, 0
@@ -238,8 +240,6 @@ def weighted_sum_law(weights: Sequence[int], probs: Sequence[float],
         if max_value < 0:
             raise PreconditionError("max_value must be nonnegative")
         top = min(top, max_value)
-    if top + 1 > MAX_WINDOW:
-        raise ResourceLimitError("value range exceeds memory budget")
     dp = _WeightedDP(top)
     beyond = 0.0
     for ak, qk in zip(a, q):
@@ -284,6 +284,8 @@ def joint_law(p: LatticePmf, m: int, n: int) -> JointCell:
         raise PreconditionError("joint_law requires 1 <= m < n")
     law_m, law_inc = sum_law(p, m), sum_law(p, n - m)
     inc = law_inc.dense
+    if len(law_m.dense) * (len(law_m.dense) + len(inc) - 1) > MAX_WINDOW:
+        raise ResourceLimitError("joint table exceeds memory budget")
     a_idx = law_m.offset + np.arange(len(law_m.dense))
     b_idx = law_m.offset + law_inc.offset + np.arange(len(a_idx) + len(inc) - 1)
     table = np.zeros((len(a_idx), len(b_idx)))

@@ -24,11 +24,11 @@ from .lattice import LatticePmf, bernoulli, char_fn, moments
 Check = tuple[str, bool, str]
 
 
-def identities_suite(cases: int = 50, seed: int = 2024) -> list[Check]:
-    rng = seeded(seed)
+def identities_suite() -> list[Check]:
+    rng = seeded(2024)
     out: list[Check] = []
     worst_dt = worst_rec = worst_var = worst_lmd = 0.0
-    for _ in range(cases):
+    for _ in range(50):
         p = random_adjacent_pmf(rng)
         worst_dt = max(worst_dt, abs(ch.delta_char(p) - 2.0 * (1.0 - ch.theta_char(p))))
         dec = bp.decompose(p)
@@ -66,14 +66,14 @@ def _mixture_law(dec, n: int) -> LatticePmf:
     return LatticePmf._from_window(dec.source.v0 * n, dec.source.D, n * dec.source.offset, total)
 
 
-def inequalities_suite(cases: int = 40, seed: int = 77) -> list[Check]:
-    rng = seeded(seed)
+def inequalities_suite() -> list[Check]:
+    rng = seeded(77)
     names = ["variance >= (1/4) theta", "D(X,d) >= d^2 theta/4",
              "nu/(2h^3) <= D(X,1/h) <= nu/4", "cf bounds via H", "cf bound via delta",
              "delta shrinks under convolution"]
     ok = [True] * 6
     detail = [""] * 6
-    for _ in range(cases):
+    for _ in range(40):
         p = random_pmf(rng)
         mom = moments(p)
         theta = ch.theta_char(p)
@@ -102,8 +102,9 @@ def inequalities_suite(cases: int = 40, seed: int = 77) -> list[Check]:
     return [(n, o, d) for n, o, d in zip(names, ok, detail)]
 
 
-def poisson_suite(cases: int = 20, seed: int = 5) -> list[Check]:
-    rng = seeded(seed)
+def poisson_suite() -> list[Check]:
+    rng = seeded(5)
+    cases = 20
     out: list[Check] = []
     lecam_ok = True
     franken_ok = True
@@ -129,7 +130,7 @@ def poisson_suite(cases: int = 20, seed: int = 5) -> list[Check]:
     return out
 
 
-def trends_suite(seed: int = 11) -> list[Check]:
+def trends_suite() -> list[Check]:
     out: list[Check] = []
     p = bernoulli(0.5)
     deltas = [delta_n(p, n) for n in (64, 128, 256, 512)]
@@ -141,8 +142,7 @@ def trends_suite(seed: int = 11) -> list[Check]:
     rho = dickman_rho(u_max=4.0)
     out.append(("dickman value at 2", abs(float(rho(2.0)) - (1 - math.log(2))) < 1e-8,
                 f"rho(2)={float(rho(2.0)):.9f}"))
-    rng = seeded(seed)
-    p1 = mixing_span1_pmf(rng)
+    p1 = mixing_span1_pmf(seeded(11))
     d_big = delta_n(p1, 512)
     out.append(("span-1 pmf local error small", d_big < 0.1, f"delta_512={d_big:.4f}"))
     return out

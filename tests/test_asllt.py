@@ -506,3 +506,20 @@ def test_dickman_path_rejects_a_non_finite_slope(rho):
     for x in (math.nan, math.inf):
         with pytest.raises(PreconditionError, match="finite x >= 1"):
             asl.asllt_dickman_path(100, 0, rho, x=x)
+
+
+def test_rho_solver_rejects_bad_grids_before_building_one(monkeypatch):
+    from llt_lab.errors import ResourceLimitError
+
+    for step in (0.0, -0.001, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="step must lie in"):
+            asl.dickman_rho(step=step)
+    for u_max in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="u_max must be finite"):
+            asl.dickman_rho(u_max=u_max)
+    with pytest.raises(ResourceLimitError):
+        asl.dickman_rho(step=5e-324)  # 1 / step overflows to inf
+    monkeypatch.setattr(asl, "MAX_WINDOW", 4 * 1024 + 1)  # the nodes of u_max = 4
+    with pytest.raises(ResourceLimitError):
+        asl.dickman_rho(u_max=5.0)
+    assert len(asl.dickman_rho(u_max=4.0).values) == 4 * 1024 + 1

@@ -511,3 +511,15 @@ def test_mixture_law_equals_the_old_per_count_loop_byte_for_byte():
         got, want = suites._mixture_law(dec, n), _old_mixture_law(dec, n)
         assert (got.v0, got.D, got.offset) == (want.v0, want.D, want.offset)
         assert got.dense.tobytes() == want.dense.tobytes()
+
+
+def test_count_tails_reject_a_non_finite_or_negative_band():
+    for h in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(PreconditionError, match="band width h"):
+            bp.rho_exact_iid(10, 0.3, h)
+        with pytest.raises(PreconditionError, match="band width h"):
+            bp.rho_exact_counts([0.3, 0.2, 0.5], h)
+    # h >= 1 keeps a well-defined one-sided tail: only K > (1 + h) mu is left
+    assert bp.rho_exact_iid(10, 0.3, 1.5) == float(sum_law(bernoulli(0.3), 10).dense[8:].sum())
+    # h = 0 leaves out only K = mu, here 5 exactly
+    assert bp.rho_exact_iid(10, 0.5, 0.0) == pytest.approx(1.0 - 252 / 1024, rel=1e-15)

@@ -309,3 +309,23 @@ def test_verify_and_count_tails_leave_out_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("args,error", [
+    (["dickman-rho", "--step", "0"], "PreconditionError"),
+    (["dickman-rho", "--step", "-0.001"], "PreconditionError"),
+    (["dickman-rho", "--u-max", "inf"], "PreconditionError"),
+    (["stable-error", "--alpha", "0.5", "--n", "8", "--x-max", "inf"], "PreconditionError"),
+])
+def test_bad_numeric_flags_exit_2_with_a_typed_error(tmp_path, capsys, args, error):
+    assert run_cli(args, tmp_path) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dickman_rho_grid_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    from llt_lab import asllt
+
+    monkeypatch.setattr(asllt, "MAX_WINDOW", 1 << 12)  # --u-max 1e6 would ask for ~1e9 nodes
+    assert run_cli(["dickman-rho", "--u-max", "5"], tmp_path) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ResourceLimitError"

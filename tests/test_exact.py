@@ -445,3 +445,17 @@ def test_equal_laws_give_bytes_equal_tables():
         assert a.dense.tobytes() == b.dense.tobytes()
         assert (a.offset, a.origin, a.lost_mass, a.beyond_mass, a.meta) == \
             (b.offset, b.origin, b.lost_mass, b.beyond_mass, b.meta)
+
+
+def test_joint_law_checks_the_budget_before_building_the_table(monkeypatch):
+    from llt_lab import exact
+    from llt_lab.errors import ResourceLimitError
+    from llt_lab.lattice import lazy_walk
+
+    monkeypatch.setattr(exact, "MAX_WINDOW", 1000)
+    with pytest.raises(ResourceLimitError, match="joint table"):
+        joint_law(lazy_walk(), 100, 400)  # 201 x 801 cells
+    monkeypatch.setattr(exact, "MAX_WINDOW", 5 * 9)
+    assert joint_law(lazy_walk(), 2, 4).table.shape == (5, 9)
+    with pytest.raises(ResourceLimitError, match="joint table"):
+        joint_law(lazy_walk(), 2, 5)

@@ -199,3 +199,9 @@ def test_doney_ratio_preconditions(tail15):
     q = LatticePmf(0.0, 1.0, {0: 0.5, 2: 0.5})
     with pytest.raises(PreconditionError, match="zero denominator"):
         doney_ratio(q, 2, 5, mu=0.0, eps=0.1)
+
+
+def test_stable_llt_error_rejects_a_non_finite_window(half_tail_pmf):
+    for x_max in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(PreconditionError, match="x_max must be finite"):
+            stable_llt_error(half_tail_pmf, 8, x_max=x_max)
