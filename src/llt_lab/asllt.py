@@ -72,16 +72,78 @@ def _require_horizon(N: int, least: int) -> None:
         raise PreconditionError(f"need a horizon of at least {least}, got {N}")
 
 
-def _log_average(terms: np.ndarray, N: int, norm: Optional[np.ndarray] = None) -> tuple:
-    """Checkpoints (m, sum_{n<=m} terms_n / log L_m) where L_m > 1; L_m = m or norm[m-1].
+_BLOCK = 1 << 15  # steps per block: a path's buffers take a few MB whatever its horizon
 
-    Paths pass weighted hit indicators, expectations the same weights times
-    exact hit masses; np.cumsum adds in index order, like a running sum.
+
+def _blocks(N: int, *dtypes):
+    """The steps 1..N in consecutive blocks of at most _BLOCK.
+
+    Yields (the block's 0-based slice, its step numbers n as float64, one
+    scratch array per dtype), all views of buffers allocated once, so a path's
+    memory does not grow with N.
     """
-    csum = np.cumsum(terms)
-    level = range(1, N + 1) if norm is None else norm
-    return tuple((m, float(csum[m - 1] / math.log(level[m - 1])))
-                 for m in _checkpoints(N) if level[m - 1] > 1.0)
+    size = min(N, _BLOCK)
+    n = np.arange(1.0, size + 1.0)
+    bufs = [np.empty(size, dtype) for dtype in dtypes]
+    for lo in range(0, N, _BLOCK):
+        if lo:
+            n += _BLOCK  # exact: step numbers stay far below 2**53
+        b = min(_BLOCK, N - lo)
+        yield (slice(lo, lo + b), n[:b], *(a[:b] for a in bufs))
+
+
+class _Running:
+    """Running sums over consecutive blocks, written in place.
+
+    The last sum enters the next block's first term and np.cumsum runs on the
+    block; add.accumulate adds strictly left to right, so every block equals
+    its slice of one np.cumsum over all the blocks, bit for bit.
+    """
+
+    def __init__(self):
+        self.last = None
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        if self.last is not None:
+            block[0] += self.last
+        np.cumsum(block, out=block)
+        self.last = block[-1]
+        return block
+
+
+class _LogAverage:
+    """Checkpoints (m, sum_{n<=m} terms_n / log L_m) where L_m > 1; L_m = m or a given level.
+
+    Paths feed weighted hit indicators block by block (each block is
+    overwritten by its running sums), expectations the same weights times
+    exact hit masses in one block.
+    """
+
+    def __init__(self, N: int):
+        self.marks = _checkpoints(N)[::-1]
+        self.sums = _Running()
+        self.lo = 1
+        self.points: list = []
+
+    def add(self, terms: np.ndarray, level: Optional[np.ndarray] = None) -> None:
+        """Take the terms of the next steps, with their levels L when L_m is not m."""
+        csum, lo = self.sums(terms), self.lo
+        self.lo += len(terms)
+        while self.marks and self.marks[-1] < self.lo:
+            m = self.marks.pop()
+            L = m if level is None else level[m - lo]
+            if L > 1.0:
+                self.points.append((m, float(csum[m - lo] / math.log(L))))
+
+    def checkpoints(self) -> tuple:
+        return tuple(self.points)
+
+
+def _log_average(terms: np.ndarray, N: int, norm: Optional[np.ndarray] = None) -> tuple:
+    """The checkpoints of _LogAverage for all N terms at once; terms are left as they were."""
+    avg = _LogAverage(N)
+    avg.add(np.array(terms, dtype=np.float64), norm)
+    return avg.checkpoints()
 
 
 # -- the i.i.d. square-integrable estimator ------------------------------------------
@@ -114,14 +176,20 @@ class KappaRule:
 
     def index(self, n) -> np.ndarray:
         n = np.asarray(n, dtype=np.float64)
-        # in place, in the rounding order of floor((n mu + kappa sigma sqrt(n) - n v0) / D + 1/2);
-        # starting from sqrt(n) instead made each asllt_path fault in ~20 MB of fresh pages
-        x = np.multiply(n, self.mu, out=np.empty(n.shape))
-        x += self.kappa * self.sigma * np.sqrt(n)
-        x -= n * self.v0
+        return self._index_into(n, np.empty(n.shape), np.empty(n.shape),
+                                np.empty(n.shape, np.int64))
+
+    def _index_into(self, n: np.ndarray, x: np.ndarray, scratch: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+        """index(n) written into the int64 array out; x and scratch are float arrays like n."""
+        # in place, in the rounding order of floor((n mu + kappa sigma sqrt(n) - n v0) / D + 1/2)
+        np.multiply(n, self.mu, out=x)
+        x += np.multiply(np.sqrt(n, out=scratch), self.kappa * self.sigma, out=scratch)
+        x -= np.multiply(n, self.v0, out=scratch)
         x /= self.D
         x += 0.5
-        return np.floor(x, out=x).astype(np.int64)
+        np.copyto(out, np.floor(x, out=x), casting="unsafe")
+        return out
 
 
 def asllt_target(p: LatticePmf, kappa: float) -> float:
@@ -130,23 +198,35 @@ def asllt_target(p: LatticePmf, kappa: float) -> float:
     return p.D / (SQRT_2PI * math.sqrt(mom.sigma2)) * math.exp(-0.5 * kappa * kappa)
 
 
-def _simulate_index_path(p: LatticePmf, N: int, rng) -> np.ndarray:
-    """Cumulative sums of i.i.d. support indices (exact integer arithmetic)."""
+def _index_draws(p: LatticePmf, rng):
+    """draw(u, out): i.i.d. support indices of p into out, u being float scratch of its length.
+
+    The draws of rng.choice(supp, size=N, p=w) taken in pieces: the same cdf,
+    built once, and the same inverse-cdf lookup of the same uniforms.
+    """
     supp, w = p.atoms()
     w = w / w.sum()
-    draws = rng.choice(supp, size=N, p=w)
-    return np.cumsum(draws)
+    cdf = np.cumsum(w)
+    cdf /= cdf[-1]
+
+    def draw(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # every index is in range, as u < 1 = cdf[-1]; "clip" spares take a buffered copy
+        return np.take(supp, cdf.searchsorted(rng.random(out=u), side="right"), out=out,
+                       mode="clip")
+    return draw
 
 
 def asllt_path(p: LatticePmf, kappa: float, N: int, seed: int) -> PathEstimate:
     """One simulated path of (1/log N) sum_{n<=N} n^{-1/2} 1{S_n = kappa_n}."""
     _require_horizon(N, 4)
     rule = KappaRule.for_pmf(p, kappa)
-    ks = _simulate_index_path(p, N, stream(seed))
-    n = np.arange(1, N + 1)
-    hits = (ks == rule.index(n)) / np.sqrt(n)
+    draw, walk, avg = _index_draws(p, stream(seed)), _Running(), _LogAverage(N)
+    for _, n, u, x, w, ks, idx, hit in _blocks(N, float, float, float, np.int64, np.int64, bool):
+        walk(draw(u, ks))  # S_n, as support indices
+        np.equal(ks, rule._index_into(n, x, w, idx), out=hit)
+        avg.add(np.divide(hit, np.sqrt(n, out=w), out=x))
     return PathEstimate(kind="t1", seed=seed, target=asllt_target(p, kappa),
-                        checkpoints=_log_average(hits, N))
+                        checkpoints=avg.checkpoints())
 
 
 def asllt_expectation(p: LatticePmf, kappa: float, N: int) -> float:
@@ -182,22 +262,26 @@ def require_recurrent(p: LatticePmf, a_index: int) -> None:
                                 f"{a_index} is visited finitely often in expectation")
 
 
-def _mass_totals(p: LatticePmf, a_index: int, N: int,
-                 masses: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Hit masses m_k = P{S_k = a} for k = 1..N (or the given ones) and their totals M_k."""
+def _hit_masses(p: LatticePmf, a_index: int, N: int,
+                masses: Optional[np.ndarray]) -> np.ndarray:
+    """Hit masses m_k = P{S_k = a} for k = 1..N (or the given ones), once their total M_N >= 2."""
     require_recurrent(p, a_index)
     m = hit_mass_sequence(p, a_index, N) if masses is None else masses
     if len(m) != N:
         raise PreconditionError(f"masses must hold N = {N} hit masses, not {len(m)}")
-    M = np.cumsum(m)
-    if M[-1] < 2.0:
+    total = _Running()  # M_N as the last of the running totals M_k
+    for steps, _, M in _blocks(N, float):
+        M[:] = m[steps]
+        total(M)
+    if total.last is None or total.last < 2.0:
         raise PreconditionError("insufficient mass, increase N")
-    return m, M
+    return m
 
 
-def _per_mass(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x_k / M_k, and 0 while M_k = 0: no step up to k can be at the level, so x_k = 0."""
-    return np.divide(x, M, out=np.zeros(len(M)), where=M > 0)
+def _per_mass(x: np.ndarray, M: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x_k / M_k into out, and 0 while M_k = 0: no step up to k can be at the level, so x_k = 0."""
+    out.fill(0.0)
+    return np.divide(x, M, out=out, where=M > 0)
 
 
 def chung_erdos_path(p: LatticePmf, a_index: int, N: int, seed: int,
@@ -209,17 +293,22 @@ def chung_erdos_path(p: LatticePmf, a_index: int, N: int, seed: int,
     """
     if p.is_degenerate():
         raise PreconditionError("degenerate summand law")
-    _, M = _mass_totals(p, a_index, N, masses)
-    ks = _simulate_index_path(p, N, stream(seed))
-    return PathEstimate(kind="chung_erdos", seed=seed, target=1.0,
-                        checkpoints=_log_average(_per_mass(ks == a_index, M), N, norm=M))
+    m = _hit_masses(p, a_index, N, masses)
+    draw, walk, total, avg = _index_draws(p, stream(seed)), _Running(), _Running(), _LogAverage(N)
+    for steps, _, u, M, terms, ks, hit in _blocks(N, float, float, float, np.int64, bool):
+        walk(draw(u, ks))
+        M[:] = m[steps]
+        total(M)
+        avg.add(_per_mass(np.equal(ks, a_index, out=hit), M, terms), M)
+    return PathEstimate(kind="chung_erdos", seed=seed, target=1.0, checkpoints=avg.checkpoints())
 
 
 def chung_erdos_expectation(p: LatticePmf, a_index: int, N: int,
                             masses: Optional[np.ndarray] = None) -> float:
     """(1/log M_N) sum_{k<=N} m_k/M_k; tends to 1 as the mass accumulates."""
-    m, M = _mass_totals(p, a_index, N, masses)
-    return _log_average(_per_mass(m, M), N, norm=M)[-1][1]
+    m = _hit_masses(p, a_index, N, masses)
+    M = np.cumsum(m)
+    return _log_average(_per_mass(m, M, np.empty(N)), N, norm=M)[-1][1]
 
 
 # -- two-state chain ------------------------------------------------------------------
@@ -263,10 +352,13 @@ class TwoStateChain:
                          [self.p10, 1.0 - self.p10]])
 
 
+def _markov_rule(chain: TwoStateChain, kappa: float) -> KappaRule:
+    return KappaRule(mu=chain.pi[1], sigma=math.sqrt(chain.sigma2), v0=0.0, D=1.0, kappa=kappa)
+
+
 def markov_kappa_indices(chain: TwoStateChain, kappa: float, n) -> np.ndarray:
     """Integer targets k_nu with kappa_nu = -nu pi_1 + k_nu tracking kappa sigma sqrt(nu)."""
-    return KappaRule(mu=chain.pi[1], sigma=math.sqrt(chain.sigma2), v0=0.0, D=1.0,
-                     kappa=kappa).index(n)
+    return _markov_rule(chain, kappa).index(n)
 
 
 def markov_ones_pmf(chain: TwoStateChain, nu: int) -> np.ndarray:
@@ -282,46 +374,65 @@ def markov_ones_pmf(chain: TwoStateChain, nu: int) -> np.ndarray:
     return table.sum(axis=1)
 
 
-def _simulate_chain(chain: TwoStateChain, N: int, rng) -> np.ndarray:
-    """States xi_1..xi_N from the stationary start, vectorised.
+class _ChainSteps:
+    """Chain states from one uniform per step, for blocks of at most ``size`` steps.
 
-    Using one uniform per step, the next state is forced whenever the two
-    conditional draws agree; between forced steps the state either carries
-    (gamma > 0) or flips (gamma < 0), which an accumulated parity resolves.
-    The draw order matches the obvious sequential loop exactly.
+    From state 0 the next state is 1 when u < p01, from state 1 when u >= p10.
+    So u between p01 and p10 forces the state to 1{p01 > p10}, u below both
+    flips it and u above both carries it; an accumulated flip parity resolves
+    the steps between forced ones.  The draw order matches that sequential
+    loop exactly.
     """
-    pi0, pi1 = chain.pi
-    u = rng.random(N)
-    first = 1 if u[0] < pi1 else 0
-    v = u[1:]
-    p01, p10 = chain.p01, chain.p10
-    from0 = v < p01          # next state 1 when currently 0
-    from1 = v >= p10         # next state 1 when currently 1 (0 when u < p10)
-    forced = from0 == from1
-    flip = from0 & ~from1    # v below both thresholds: state toggles; the
-    # remaining case (above both) carries the previous state unchanged
-    idx = np.arange(1, N)
-    last_forced = np.maximum.accumulate(np.where(forced, idx, 0))
-    forced_val = np.zeros(N, dtype=np.int64)
-    forced_val[0] = first
-    forced_val[idx[forced]] = from0[forced]
-    cumflip = np.concatenate(([0], np.cumsum(flip)))
-    states = np.empty(N, dtype=np.int64)
-    states[0] = first
-    par = (cumflip[idx] - cumflip[last_forced]) & 1
-    states[1:] = forced_val[last_forced] ^ par
-    return states
+
+    def __init__(self, chain: TwoStateChain, size: int):
+        self.pi1 = chain.pi[1]
+        self.low, self.high = sorted((chain.p01, chain.p10))
+        self.forced = int(chain.p01 > chain.p10)
+        self.parity = np.empty(size, np.int64)
+        self.last = np.empty(size, np.int64)  # 1 + the last forced step up to here, 0 if none
+        self.table = np.empty(size + 1, np.int64)  # the state before the block, then per step
+        self.pos = np.arange(1, size + 1)
+
+    def __call__(self, u: np.ndarray, prev, out: np.ndarray) -> np.ndarray:
+        """States for the uniforms u into the int64 array out; prev is the state before u[0],
+        or None for a start from the stationary law."""
+        b = len(u)
+        c, last, table = self.parity[:b], self.last[:b], self.table[:b + 1]
+        np.less(u, self.low, out=c)
+        np.less(u, self.high, out=last)
+        last ^= c
+        if prev is None:  # the first state is drawn from pi: neither forced nor flipped
+            prev = int(u[0] < self.pi1)
+            c[0] = last[0] = 0
+        np.maximum.accumulate(np.multiply(last, self.pos[:b], out=last), out=last)
+        np.cumsum(c, out=c)
+        c &= 1
+        table[0] = prev
+        np.bitwise_xor(c, self.forced, out=table[1:])  # state xor parity after a forced step
+        np.take(table, last, out=out, mode="clip")  # every index is in range
+        out ^= c
+        return out
+
+
+def _simulate_chain(chain: TwoStateChain, N: int, rng, prev=None) -> np.ndarray:
+    """States xi_1..xi_N from the stationary start, or from the state prev before xi_1."""
+    return _ChainSteps(chain, N)(rng.random(N), prev, np.empty(N, np.int64))
 
 
 def markov_asllt_path(chain: TwoStateChain, kappa: float, N: int, seed: int) -> PathEstimate:
     """Path of (1/log n) sum (sigma/sqrt(nu)) 1{S_nu = kappa_nu}; target phi(kappa)."""
     _require_horizon(N, 4)
-    ones = np.cumsum(_simulate_chain(chain, N, stream(seed)))
-    nu = np.arange(1, N + 1)
-    hits = ones == markov_kappa_indices(chain, kappa, nu)
-    cps = _log_average(hits * (math.sqrt(chain.sigma2) / np.sqrt(nu)), N)
+    rule, sigma = _markov_rule(chain, kappa), math.sqrt(chain.sigma2)
+    rng, ones, avg = stream(seed), _Running(), _LogAverage(N)
+    steps, prev = _ChainSteps(chain, min(N, _BLOCK)), None
+    for _, nu, u, x, w, states, idx, hit in _blocks(N, float, float, float, np.int64, np.int64,
+                                                     bool):
+        prev = steps(rng.random(out=u), prev, states)[-1]
+        ones(states)  # the number of ones up to nu
+        np.equal(states, rule._index_into(nu, x, w, idx), out=hit)
+        avg.add(np.multiply(hit, np.divide(sigma, np.sqrt(nu, out=w), out=w), out=x))
     target = math.exp(-0.5 * kappa * kappa) / SQRT_2PI
-    return PathEstimate(kind="markov", seed=seed, target=target, checkpoints=cps)
+    return PathEstimate(kind="markov", seed=seed, target=target, checkpoints=avg.checkpoints())
 
 
 def markov_asllt_expectation(chain: TwoStateChain, kappa: float, N: int) -> float:
@@ -419,12 +530,30 @@ def dickman_sum_law(n: int, max_value: Optional[int] = None):
                             max_value=max_value)
 
 
+def _round_half_up(x: float, n, out: np.ndarray) -> np.ndarray:
+    """floor(x n + 1/2) written into the float array out."""
+    np.multiply(x, n, out=out)
+    out += 0.5
+    return np.floor(out, out=out)
+
+
 def _dickman_index(x: float, n, least: float = 0.0):
     """The Dickman target round(x n) = floor(x n + 1/2) as int64, for a finite x >= least."""
-    t = np.floor(np.multiply(x, n) + 0.5)
+    t = _round_half_up(x, n, np.empty(np.shape(n)))
     if not (least <= x and np.max(t) < 2.0 ** 63):  # NaN and inf fail too
         raise PreconditionError(f"round(x n) needs a finite x >= {least:g}, x n < 2**63; got {x!r}")
     return t.astype(np.int64)
+
+
+def _require_tabulated(rho: DickmanRho, x: float) -> None:
+    """Reject a slope past the rho table, where the table reads 0, unless rho(x) is 0.0 anyway.
+
+    By the delay equation rho(u) <= rho(u-1)/u, so rho(u) <= 1/Gamma(u+1), which
+    lies below half the least positive double (e^-745.1) once lgamma(u+1) > 746.
+    """
+    if x > rho.u_max and math.lgamma(x + 1.0) <= 746.0:
+        raise PreconditionError(f"x = {x!r} lies past the rho table (u_max = {rho.u_max:g}); "
+                                f"tabulate rho at least to x")
 
 
 def dickman_llt_check(n: int, x: float, rho: DickmanRho):
@@ -433,6 +562,7 @@ def dickman_llt_check(n: int, x: float, rho: DickmanRho):
 
     _require_horizon(n, 2)
     kappa = int(_dickman_index(x, n))
+    _require_tabulated(rho, x)
     law = dickman_sum_law(n, max_value=kappa)
     exact = n * law.prob(kappa)
     target = math.exp(-EULER_GAMMA) * float(rho(x))
@@ -444,12 +574,19 @@ def dickman_strong_llt(n: int, rho: DickmanRho) -> float:
     """Full sum over kappa of |P{T_n=kappa} - n^{-1} e^{-gamma} rho(kappa/n)|."""
     _require_horizon(n, 2)
     law = dickman_sum_law(n)
-    hi = max(law.offset + len(law.dense) - 1, int(math.ceil(n * rho.u_max)))
-    kappa = np.arange(0, hi + 1)
-    probs = np.zeros(len(kappa))
-    probs[law.offset: law.offset + len(law.dense)] = law.dense
+    edge = int(math.ceil(n * rho.u_max))
+    hi = max(law.offset + len(law.dense) - 1, edge)
+    # past the last positive atom and past n u_max both terms are 0.0: the gaps are evaluated
+    # up to there, and the zeros beyond keep the pairwise grouping of the full sum
+    top = max(law.offset + int(np.flatnonzero(law.dense)[-1]), edge)
+    kappa = np.arange(0, top + 1)
+    probs = np.zeros(top + 1)
+    dense = law.dense[: top + 1 - law.offset]
+    probs[law.offset: law.offset + len(dense)] = dense
     limit = math.exp(-EULER_GAMMA) / n * rho(kappa / n)
-    return float(np.abs(probs - limit).sum())
+    gaps = np.zeros(hi + 1)
+    np.abs(probs - limit, out=gaps[: top + 1])
+    return float(gaps.sum())
 
 
 def asllt_dickman_path(N: int, seed: int, rho: DickmanRho, x: float = 1.0) -> PathEstimate:
@@ -461,11 +598,17 @@ def asllt_dickman_path(N: int, seed: int, rho: DickmanRho, x: float = 1.0) -> Pa
     terms happen to cancel the harmonic-sum surplus).
     """
     _require_horizon(N, 4)
-    k = np.arange(1, N + 1)
-    t = np.cumsum(k * (stream(seed).random(N) < 1.0 / k))
-    hits = (t == _dickman_index(x, k, least=1.0)).astype(np.float64)  # x >= 1: round(x n) increases
+    _dickman_index(x, N, least=1.0)  # x >= 1: round(x n) increases, so n = N is the largest
+    _require_tabulated(rho, x)
+    rng, total, avg = stream(seed), _Running(), _LogAverage(N)
+    for _, n, u, f, t, k, hit in _blocks(N, float, float, np.int64, np.int64, bool):
+        np.less(rng.random(out=u), np.divide(1.0, n, out=f), out=hit)  # Z_n ~ Bernoulli(1/n)
+        total(np.multiply(n, hit, out=t, casting="unsafe"))  # T_n = sum_{j<=n} j Z_j
+        np.copyto(k, _round_half_up(x, n, f), casting="unsafe")
+        np.copyto(f, np.equal(t, k, out=hit))
+        avg.add(f)
     return PathEstimate(kind="dickman", seed=seed, target=math.exp(-EULER_GAMMA) * float(rho(x)),
-                        checkpoints=_log_average(hits, N))
+                        checkpoints=avg.checkpoints())
 
 
 def dickman_expectation(N: int, x: float, rho: Optional[DickmanRho] = None) -> float:
