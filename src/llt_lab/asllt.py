@@ -194,8 +194,8 @@ class KappaRule:
 
 def asllt_target(p: LatticePmf, kappa: float) -> float:
     """Limit value D/(sqrt(2 pi) sigma) * exp(-kappa^2/2) of the hit average."""
-    mom = moments(p)
-    return p.D / (SQRT_2PI * math.sqrt(mom.sigma2)) * math.exp(-0.5 * kappa * kappa)
+    sigma = KappaRule.for_pmf(p, kappa).sigma
+    return p.D / (SQRT_2PI * sigma) * math.exp(-0.5 * kappa * kappa)
 
 
 def _index_draws(p: LatticePmf, rng):
@@ -265,15 +265,14 @@ def require_recurrent(p: LatticePmf, a_index: int) -> None:
 def _hit_masses(p: LatticePmf, a_index: int, N: int,
                 masses: Optional[np.ndarray]) -> np.ndarray:
     """Hit masses m_k = P{S_k = a} for k = 1..N (or the given ones), once their total M_N >= 2."""
+    if p.is_degenerate():
+        raise PreconditionError("degenerate summand law")
     require_recurrent(p, a_index)
     m = hit_mass_sequence(p, a_index, N) if masses is None else masses
     if len(m) != N:
         raise PreconditionError(f"masses must hold N = {N} hit masses, not {len(m)}")
-    total = _Running()  # M_N as the last of the running totals M_k
-    for steps, _, M in _blocks(N, float):
-        M[:] = m[steps]
-        total(M)
-    if total.last is None or total.last < 2.0:
+    # M_N as the last running total M_k: np.cumsum adds left to right, as _Running does
+    if N == 0 or np.cumsum(m)[-1] < 2.0:
         raise PreconditionError("insufficient mass, increase N")
     return m
 
@@ -291,8 +290,6 @@ def chung_erdos_path(p: LatticePmf, a_index: int, N: int, seed: int,
     The target is 1.  ``masses`` may carry a precomputed m_k array so that a
     batch of seeds shares one exact-mass computation.
     """
-    if p.is_degenerate():
-        raise PreconditionError("degenerate summand law")
     m = _hit_masses(p, a_index, N, masses)
     draw, walk, total, avg = _index_draws(p, stream(seed)), _Running(), _Running(), _LogAverage(N)
     for steps, _, u, M, terms, ks, hit in _blocks(N, float, float, float, np.int64, bool):

@@ -1,7 +1,7 @@
 """Exact brute-force engine for laws of partial sums.
 
 Everything here is a plain dense-array computation: n-fold convolutions by
-repeated squaring, dynamic programming for weighted Bernoulli sums, joint
+binary powering, dynamic programming for weighted Bernoulli sums, joint
 laws via independent increments, and exact sup-distances between a lattice
 CDF and a reference curve.  Probabilities are floats; the only approximation
 is float rounding (tracked at the 1e-12 * n scale) and an explicit underflow
@@ -79,14 +79,33 @@ def _convolve(a: np.ndarray, b: np.ndarray, method: str = "auto") -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def _floor_small(arr: np.ndarray) -> tuple[np.ndarray, float]:
+def _cut(arr: np.ndarray, off: int, max_index: Optional[int]) -> np.ndarray:
+    """The part of ``arr`` (first index ``off``) at or below ``max_index``."""
+    if max_index is None or max_index - off + 1 >= len(arr):
+        return arr
+    if max_index < off:
+        raise PreconditionError("support cap below the smallest reachable index")
+    return arr[:max_index - off + 1]
+
+
+def _product(a: np.ndarray, a_off: int, b: np.ndarray, b_off: int, lost: float,
+             max_index: Optional[int] = None, method: str = "auto") -> tuple:
+    """The engine's one product step: a * b, cut at ``max_index``, underflow dropped.
+
+    Returns (masses, first index, ``lost`` plus the mass of the atoms below
+    ``UNDERFLOW_FLOOR``, which are set to zero).  The memory budget is checked
+    before the product is allocated.
+    """
+    if len(a) + len(b) - 1 > MAX_WINDOW:
+        raise ResourceLimitError("convolution window exceeds memory budget")
+    off = a_off + b_off
+    arr = _cut(_convolve(a, b, method), off, max_index)
     small = (arr > 0) & (arr < UNDERFLOW_FLOOR)
-    if not small.any():
-        return arr, 0.0
-    lost = float(arr[small].sum())
-    arr = arr.copy()
-    arr[small] = 0.0
-    return arr, lost
+    if small.any():
+        lost += float(arr[small].sum())
+        arr = arr.copy()
+        arr[small] = 0.0
+    return arr, off, lost
 
 
 @functools.lru_cache(maxsize=8)
@@ -94,14 +113,16 @@ def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
             method: str = "auto") -> SumLawTable:
     """Exact law of S_n = X_1 + ... + X_n for i.i.d. X_j ~ p.
 
-    Uses repeated squaring of convolutions.  ``max_index`` caps the stored
-    index window; it is only allowed for laws supported on nonnegative
-    indices, where an atom past the cap can only feed sums past the cap, so
-    stored values stay exact.  Each factor is cut to the window before it is
-    convolved and every product is cut again, so a capped table costs time
-    and memory in proportion to the cap, not to the width of ``p``.
-    ``lost_mass`` counts underflow inside the window; ``beyond_mass`` is the
-    rest of the deficit.  ``method`` is "auto", "direct" or "fft".
+    Binary powering from the most significant bit of n: one accumulator,
+    squared for every bit below the leading one and, where that bit is set,
+    multiplied by the law.  ``max_index`` caps the stored index window; it is
+    only allowed for laws supported on nonnegative indices, where an atom
+    past the cap can only feed sums past the cap, so stored values stay
+    exact.  The law is cut to the window before it is convolved and every
+    product is cut again, so a capped table costs time and memory in
+    proportion to the cap, not to the width of ``p``.  ``lost_mass`` counts
+    underflow inside the window; ``beyond_mass`` is the rest of the deficit.
+    ``method`` is "auto", "direct" or "fft".
 
     The last few results are reused: a call with the same law object and
     arguments returns the same table, whose mass array is read-only.
@@ -110,40 +131,16 @@ def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
         raise PreconditionError("sum_law requires n >= 1")
     if max_index is not None and p.offset < 0:
         raise PreconditionError("support cap requires nonnegative support indices")
-
-    def cap(arr: np.ndarray, off: int) -> np.ndarray:
-        """The part of ``arr`` (first index ``off``) at or below ``max_index``."""
-        if max_index is None or max_index - off + 1 >= len(arr):
-            return arr
-        if max_index < off:
-            raise PreconditionError("support cap below the smallest reachable index")
-        return arr[:max_index - off + 1]
-
-    base = cap(p.dense, p.offset)
-    base_off = p.offset
-    acc = None
-    acc_off = 0
-    lost = 0.0
-    m = n
-    while m > 0:
-        if m & 1:
-            if acc is None:
-                acc, acc_off = base.copy(), base_off
-            else:
-                acc_off += base_off
-                acc, lost_i = _floor_small(cap(_convolve(acc, base, method), acc_off))
-                lost += lost_i
-        m >>= 1
-        if m > 0:
-            if len(base) * 2 > MAX_WINDOW:
-                raise ResourceLimitError("convolution window exceeds memory budget")
-            base_off *= 2
-            base, lost_b = _floor_small(cap(_convolve(base, base, method), base_off))
-            lost += lost_b
+    base = _cut(p.dense, p.offset, max_index)
+    acc, off, lost = base, p.offset, 0.0
+    for bit in bin(n)[3:]:  # the bits below the leading one, most significant first
+        acc, off, lost = _product(acc, off, acc, off, lost, max_index, method)
+        if bit == "1":
+            acc, off, lost = _product(acc, off, base, p.offset, lost, max_index, method)
     # window masses are exact under a cap, so the pushed-out mass is the
     # conservation deficit (intermediate caps do not track descendants)
     beyond = max(0.0, 1.0 - float(acc.sum()) - lost) if max_index is not None else 0.0
-    if acc.base is not None:  # a capped view: keep only the window, not the whole product
+    if acc.base is not None:  # a view of the law or of a wider product: keep only the window
         acc = acc.copy()
     acc.flags.writeable = False
     mom = moments(p)
@@ -152,7 +149,7 @@ def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
         sigma2=None if mom.sigma2 is None else n * mom.sigma2,
         mu3=None if mom.mu3 is None else n * mom.mu3,
     )
-    return SumLawTable(n=n, origin=n * p.v0, D=p.D, offset=acc_off, dense=acc,
+    return SumLawTable(n=n, origin=n * p.v0, D=p.D, offset=off, dense=acc,
                        meta=meta, lost_mass=lost, beyond_mass=beyond)
 
 
@@ -160,15 +157,14 @@ def convolve_tables(a: SumLawTable, b: SumLawTable) -> SumLawTable:
     """Law of the independent sum of two partial sums on lattices of the same span."""
     if a.D != b.D:
         raise PreconditionError("tables must share the lattice span")
-    probs = _convolve(a.dense, b.dense)
-    probs, lost = _floor_small(probs)
+    probs, offset, lost = _product(a.dense, a.offset, b.dense, b.offset,
+                                   a.lost_mass + b.lost_mass)
     mu = None if a.meta.mu is None or b.meta.mu is None else a.meta.mu + b.meta.mu
     s2 = None if a.meta.sigma2 is None or b.meta.sigma2 is None else a.meta.sigma2 + b.meta.sigma2
     mu3 = None if a.meta.mu3 is None or b.meta.mu3 is None else a.meta.mu3 + b.meta.mu3
     return SumLawTable(n=a.n + b.n, origin=a.origin + b.origin, D=a.D,
-                       offset=a.offset + b.offset, dense=probs, meta=MomentSummary(mu, s2, mu3),
-                       lost_mass=a.lost_mass + b.lost_mass + lost,
-                       beyond_mass=a.beyond_mass + b.beyond_mass)
+                       offset=offset, dense=probs, meta=MomentSummary(mu, s2, mu3),
+                       lost_mass=lost, beyond_mass=a.beyond_mass + b.beyond_mass)
 
 
 def _scan_in(arr: np.ndarray, floor: float) -> int:

@@ -233,7 +233,9 @@ def uniform_range(a: int, b: int) -> LatticePmf:
     if b < a:
         raise ValueError("empty range")
     n = b - a + 1
-    return LatticePmf(0.0, 1.0, {k: 1.0 / n for k in range(a, b + 1)})
+    if n > MAX_WINDOW:  # before the window is allocated
+        raise ResourceLimitError(f"dense window of {n} entries exceeds budget")
+    return LatticePmf._from_window(0.0, 1.0, a, np.full(n, 1.0 / n))
 
 
 def point_mass(value: float) -> LatticePmf:

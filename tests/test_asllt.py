@@ -523,3 +523,19 @@ def test_rho_solver_rejects_bad_grids_before_building_one(monkeypatch):
     with pytest.raises(ResourceLimitError):
         asl.dickman_rho(u_max=5.0)
     assert len(asl.dickman_rho(u_max=4.0).values) == 4 * 1024 + 1
+
+
+def test_asllt_target_needs_a_finite_positive_variance():
+    from llt_lab.lattice import point_mass, power_tail
+
+    with pytest.raises(PreconditionError, match="positive variance"):
+        asl.asllt_target(power_tail(1.5, tail_mass=1e-4), 0.0)  # no variance
+    with pytest.raises(PreconditionError, match="positive variance"):
+        asl.asllt_target(point_mass(0.0), 0.0)
+
+
+def test_chung_erdos_expectation_rejects_a_degenerate_law():
+    from llt_lab.lattice import point_mass
+
+    with pytest.raises(PreconditionError, match="degenerate summand law"):
+        asl.chung_erdos_expectation(point_mass(0.0), 0, 100)

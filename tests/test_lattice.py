@@ -222,3 +222,19 @@ def test_power_tail_spec_fields_must_be_json_numbers():
     for text in specs:
         with pytest.raises(ValueError, match="JSON numbers"):
             LatticePmf.from_json(text)
+
+
+def test_uniform_range_past_the_budget_fails_before_building_anything():
+    from llt_lab.errors import ResourceLimitError
+
+    with pytest.raises(ResourceLimitError, match="exceeds budget"):
+        uniform_range(0, 10**15)
+
+
+def test_uniform_range_equals_the_law_built_from_its_weights():
+    for a, b in ((0, 0), (0, 5), (-3, 4), (7, 106)):
+        n = b - a + 1
+        want = LatticePmf(0.0, 1.0, {k: 1.0 / n for k in range(a, b + 1)})
+        got = uniform_range(a, b)
+        assert (got.offset, got.v0, got.D) == (want.offset, want.v0, want.D)
+        assert got.dense.tobytes() == want.dense.tobytes()
