@@ -104,19 +104,22 @@ class _Running:
         self.last = None
 
     def __call__(self, block: np.ndarray) -> np.ndarray:
-        if self.last is not None:
-            block[0] += self.last
-        np.cumsum(block, out=block)
-        self.last = block[-1]
+        if len(block):
+            if self.last is not None:
+                block[0] += self.last
+            np.cumsum(block, out=block)
+            self.last = block[-1]
         return block
 
 
 class _LogAverage:
     """Checkpoints (m, sum_{n<=m} terms_n / log L_m) where L_m > 1; L_m = m or a given level.
 
-    Paths feed weighted hit indicators block by block (each block is
-    overwritten by its running sums), expectations the same weights times
-    exact hit masses in one block.
+    Each block of steps comes as its hit positions and the terms there; every
+    other term is 0.0, which leaves a running sum as it is.  So summing only
+    the hits, left to right, gives every checkpoint of the dense running sum,
+    bit for bit.  Paths pass the steps where the walk meets its target,
+    expectations the nonzero terms.
     """
 
     def __init__(self, N: int):
@@ -125,15 +128,20 @@ class _LogAverage:
         self.lo = 1
         self.points: list = []
 
-    def add(self, terms: np.ndarray, level: Optional[np.ndarray] = None) -> None:
-        """Take the terms of the next steps, with their levels L when L_m is not m."""
-        csum, lo = self.sums(terms), self.lo
-        self.lo += len(terms)
+    def add(self, size: int, hits: np.ndarray, terms: np.ndarray,
+            level: Optional[np.ndarray] = None) -> None:
+        """Take the next size steps: terms (overwritten) at the increasing 0-based positions
+        hits, 0.0 elsewhere, and the steps' levels L when L_m is not m."""
+        before, lo = self.sums.last, self.lo
+        csum = self.sums(terms)
+        self.lo += size
         while self.marks and self.marks[-1] < self.lo:
             m = self.marks.pop()
             L = m if level is None else level[m - lo]
             if L > 1.0:
-                self.points.append((m, float(csum[m - lo] / math.log(L))))
+                i = int(hits.searchsorted(m - lo, side="right"))  # the hits up to m
+                total = csum[i - 1] if i else 0.0 if before is None else before
+                self.points.append((m, float(total / math.log(L))))
 
     def checkpoints(self) -> tuple:
         return tuple(self.points)
@@ -141,8 +149,10 @@ class _LogAverage:
 
 def _log_average(terms: np.ndarray, N: int, norm: Optional[np.ndarray] = None) -> tuple:
     """The checkpoints of _LogAverage for all N terms at once; terms are left as they were."""
+    terms = np.asarray(terms, dtype=np.float64)
+    hits = np.flatnonzero(terms)
     avg = _LogAverage(N)
-    avg.add(np.array(terms, dtype=np.float64), norm)
+    avg.add(N, hits, terms[hits], norm)
     return avg.checkpoints()
 
 
@@ -198,35 +208,64 @@ def asllt_target(p: LatticePmf, kappa: float) -> float:
     return p.D / (SQRT_2PI * sigma) * math.exp(-0.5 * kappa * kappa)
 
 
+#: cdfs of at most this many entries are inverted by comparisons, longer ones by binary
+#: search; comparisons were faster up to 16 entries on uniform and on power-law weights
+_FEW_ATOMS = 16
+
+
 def _index_draws(p: LatticePmf, rng):
     """draw(u, out): i.i.d. support indices of p into out, u being float scratch of its length.
 
     The draws of rng.choice(supp, size=N, p=w) taken in pieces: the same cdf,
-    built once, and the same inverse-cdf lookup of the same uniforms.
+    built once, and the same inverse-cdf lookup of the same uniforms.  The
+    lookup searchsorted(cdf, u, side="right") counts the entries <= u; as
+    u < 1 = cdf[-1], a short cdf counts them with one comparison per entry.
     """
     supp, w = p.atoms()
     w = w / w.sum()
     cdf = np.cumsum(w)
     cdf /= cdf[-1]
+    if len(cdf) > _FEW_ATOMS:
+        def search(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+            # every index is in range, as u < 1 = cdf[-1]; "clip" spares take a buffered copy
+            return np.take(supp, cdf.searchsorted(rng.random(out=u), side="right"), out=out,
+                           mode="clip")
+        return search
+    inner = cdf[:-1].tolist()  # the last entry, 1, counts no u < 1
 
-    def draw(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # every index is in range, as u < 1 = cdf[-1]; "clip" spares take a buffered copy
-        return np.take(supp, cdf.searchsorted(rng.random(out=u), side="right"), out=out,
-                       mode="clip")
-    return draw
+    def count(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        rng.random(out=u)
+        out.fill(0)
+        for c in inner:
+            out += u >= c
+        return np.take(supp, out, out=out, mode="clip")
+    return count
+
+
+def asllt_paths(p: LatticePmf, kappa: float, N: int, seeds: Sequence[int]) -> list:
+    """Simulated paths of (1/log N) sum_{n<=N} n^{-1/2} 1{S_n = kappa_n}, one per seed.
+
+    Each block's targets and weights are computed once for all the seeds;
+    every seed then advances its own stream, walk and log-average.
+    """
+    _require_horizon(N, 4)
+    rule = KappaRule.for_pmf(p, kappa)
+    paths = [(_index_draws(p, stream(seed)), _Running(), _LogAverage(N)) for seed in seeds]
+    for _, n, u, x, w, ks, idx, hit in _blocks(N, float, float, float, np.int64, np.int64, bool):
+        rule._index_into(n, x, w, idx)
+        np.divide(1.0, np.sqrt(n, out=w), out=w)  # n^{-1/2}
+        for draw, walk, avg in paths:
+            walk(draw(u, ks))  # S_n, as support indices
+            hits = np.flatnonzero(np.equal(ks, idx, out=hit))
+            avg.add(len(n), hits, w[hits])
+    target = asllt_target(p, kappa)
+    return [PathEstimate(kind="t1", seed=seed, target=target, checkpoints=avg.checkpoints())
+            for seed, (*_, avg) in zip(seeds, paths)]
 
 
 def asllt_path(p: LatticePmf, kappa: float, N: int, seed: int) -> PathEstimate:
     """One simulated path of (1/log N) sum_{n<=N} n^{-1/2} 1{S_n = kappa_n}."""
-    _require_horizon(N, 4)
-    rule = KappaRule.for_pmf(p, kappa)
-    draw, walk, avg = _index_draws(p, stream(seed)), _Running(), _LogAverage(N)
-    for _, n, u, x, w, ks, idx, hit in _blocks(N, float, float, float, np.int64, np.int64, bool):
-        walk(draw(u, ks))  # S_n, as support indices
-        np.equal(ks, rule._index_into(n, x, w, idx), out=hit)
-        avg.add(np.divide(hit, np.sqrt(n, out=w), out=x))
-    return PathEstimate(kind="t1", seed=seed, target=asllt_target(p, kappa),
-                        checkpoints=avg.checkpoints())
+    return asllt_paths(p, kappa, N, [seed])[0]
 
 
 def asllt_expectation(p: LatticePmf, kappa: float, N: int) -> float:
@@ -268,36 +307,51 @@ def _hit_masses(p: LatticePmf, a_index: int, N: int,
     if p.is_degenerate():
         raise PreconditionError("degenerate summand law")
     require_recurrent(p, a_index)
-    m = hit_mass_sequence(p, a_index, N) if masses is None else masses
+    m = hit_mass_sequence(p, a_index, N) if masses is None else np.asarray(masses, np.float64)
     if len(m) != N:
         raise PreconditionError(f"masses must hold N = {N} hit masses, not {len(m)}")
+    if not np.all(np.isfinite(m) & (m >= 0.0)):
+        raise PreconditionError("hit masses must be finite and >= 0")
     # M_N as the last running total M_k: np.cumsum adds left to right, as _Running does
     if N == 0 or np.cumsum(m)[-1] < 2.0:
         raise PreconditionError("insufficient mass, increase N")
     return m
 
 
-def _per_mass(x: np.ndarray, M: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _per_mass(x, M: np.ndarray, out: np.ndarray) -> np.ndarray:
     """x_k / M_k into out, and 0 while M_k = 0: no step up to k can be at the level, so x_k = 0."""
     out.fill(0.0)
     return np.divide(x, M, out=out, where=M > 0)
+
+
+def chung_erdos_paths(p: LatticePmf, a_index: int, N: int, seeds: Sequence[int],
+                      masses: Optional[np.ndarray] = None) -> list:
+    """Paths of (1/log M_n) sum_{k<=n} 1{S_k = a}/M_k with M_k = sum_{i<=k} P{S_i=a}, one per seed.
+
+    The target is 1.  ``masses`` may carry a precomputed m_k array; the seeds
+    share it, and each block's M_k and 1/M_k are computed once for all of them.
+    """
+    m = _hit_masses(p, a_index, N, masses)
+    total = _Running()
+    paths = [(_index_draws(p, stream(seed)), _Running(), _LogAverage(N)) for seed in seeds]
+    for steps, _, u, M, inv, ks, hit in _blocks(N, float, float, float, np.int64, bool):
+        M[:] = m[steps]
+        _per_mass(1.0, total(M), inv)
+        for draw, walk, avg in paths:
+            walk(draw(u, ks))
+            hits = np.flatnonzero(np.equal(ks, a_index, out=hit))
+            avg.add(len(M), hits, inv[hits], M)
+    return [PathEstimate(kind="chung_erdos", seed=seed, target=1.0, checkpoints=avg.checkpoints())
+            for seed, (*_, avg) in zip(seeds, paths)]
 
 
 def chung_erdos_path(p: LatticePmf, a_index: int, N: int, seed: int,
                      masses: Optional[np.ndarray] = None) -> PathEstimate:
     """Path of (1/log M_n) sum_{k<=n} 1{S_k = a}/M_k with M_k = sum_{i<=k} P{S_i=a}.
 
-    The target is 1.  ``masses`` may carry a precomputed m_k array so that a
-    batch of seeds shares one exact-mass computation.
+    The target is 1.  ``masses`` may carry a precomputed m_k array.
     """
-    m = _hit_masses(p, a_index, N, masses)
-    draw, walk, total, avg = _index_draws(p, stream(seed)), _Running(), _Running(), _LogAverage(N)
-    for steps, _, u, M, terms, ks, hit in _blocks(N, float, float, float, np.int64, bool):
-        walk(draw(u, ks))
-        M[:] = m[steps]
-        total(M)
-        avg.add(_per_mass(np.equal(ks, a_index, out=hit), M, terms), M)
-    return PathEstimate(kind="chung_erdos", seed=seed, target=1.0, checkpoints=avg.checkpoints())
+    return chung_erdos_paths(p, a_index, N, [seed], masses)[0]
 
 
 def chung_erdos_expectation(p: LatticePmf, a_index: int, N: int,
@@ -375,40 +429,44 @@ class _ChainSteps:
     """Chain states from one uniform per step, for blocks of at most ``size`` steps.
 
     From state 0 the next state is 1 when u < p01, from state 1 when u >= p10.
-    So u between p01 and p10 forces the state to 1{p01 > p10}, u below both
-    flips it and u above both carries it; an accumulated flip parity resolves
-    the steps between forced ones.  The draw order matches that sequential
-    loop exactly.
+    So u between p01 and p10 forces the state to F = 1{p01 > p10}, u below both
+    flips it and u above both carries it.  With P_i the parity of the flips up
+    to step i, s_i xor P_i holds still between forced steps and is F xor P_f
+    at a forced step f: its changes sit at the forced steps, and an xor scan
+    of them gives every state.  The draw order matches that sequential loop
+    exactly.
     """
 
     def __init__(self, chain: TwoStateChain, size: int):
         self.pi1 = chain.pi[1]
         self.low, self.high = sorted((chain.p01, chain.p10))
-        self.forced = int(chain.p01 > chain.p10)
-        self.parity = np.empty(size, np.int64)
-        self.last = np.empty(size, np.int64)  # 1 + the last forced step up to here, 0 if none
-        self.table = np.empty(size + 1, np.int64)  # the state before the block, then per step
-        self.pos = np.arange(1, size + 1)
+        self.forced = chain.p01 > chain.p10
+        self.parity = np.empty(size, bool)
+        self.change = np.empty(size, bool)
 
     def __call__(self, u: np.ndarray, prev, out: np.ndarray) -> np.ndarray:
         """States for the uniforms u into the int64 array out; prev is the state before u[0],
         or None for a start from the stationary law."""
         b = len(u)
-        c, last, table = self.parity[:b], self.last[:b], self.table[:b + 1]
-        np.less(u, self.low, out=c)
-        np.less(u, self.high, out=last)
-        last ^= c
+        parity, change = self.parity[:b], self.change[:b]
+        np.less(u, self.low, out=parity)  # the flips
+        np.less(u, self.high, out=change)
+        change ^= parity  # the forced steps
         if prev is None:  # the first state is drawn from pi: neither forced nor flipped
-            prev = int(u[0] < self.pi1)
-            c[0] = last[0] = 0
-        np.maximum.accumulate(np.multiply(last, self.pos[:b], out=last), out=last)
-        np.cumsum(c, out=c)
-        c &= 1
-        table[0] = prev
-        np.bitwise_xor(c, self.forced, out=table[1:])  # state xor parity after a forced step
-        np.take(table, last, out=out, mode="clip")  # every index is in range
-        out ^= c
-        return out
+            prev = u[0] < self.pi1
+            parity[0] = change[0] = False
+        np.logical_xor.accumulate(parity, out=parity)
+        prev = bool(prev)  # s xor P before the block
+        at = np.flatnonzero(change)
+        held = parity[at] ^ self.forced  # s xor P from each forced step on
+        step = held.copy()  # its changes: against the forced step before, the first against prev
+        step[1:] ^= held[:-1]
+        step[:1] ^= prev
+        change.fill(False)
+        change[at] = step
+        change[0] ^= prev
+        np.logical_xor.accumulate(change, out=change)
+        return np.not_equal(change, parity, out=out)
 
 
 def _simulate_chain(chain: TwoStateChain, N: int, rng, prev=None) -> np.ndarray:
@@ -416,20 +474,35 @@ def _simulate_chain(chain: TwoStateChain, N: int, rng, prev=None) -> np.ndarray:
     return _ChainSteps(chain, N)(rng.random(N), prev, np.empty(N, np.int64))
 
 
-def markov_asllt_path(chain: TwoStateChain, kappa: float, N: int, seed: int) -> PathEstimate:
-    """Path of (1/log n) sum (sigma/sqrt(nu)) 1{S_nu = kappa_nu}; target phi(kappa)."""
+def markov_asllt_paths(chain: TwoStateChain, kappa: float, N: int,
+                       seeds: Sequence[int]) -> list:
+    """Paths of (1/log n) sum (sigma/sqrt(nu)) 1{S_nu = kappa_nu}, one per seed; target phi(kappa).
+
+    Each block's targets and weights are computed once for all the seeds;
+    every seed then advances its own stream, chain state and log-average.
+    """
     _require_horizon(N, 4)
     rule, sigma = _markov_rule(chain, kappa), math.sqrt(chain.sigma2)
-    rng, ones, avg = stream(seed), _Running(), _LogAverage(N)
-    steps, prev = _ChainSteps(chain, min(N, _BLOCK)), None
+    steps = _ChainSteps(chain, min(N, _BLOCK))
+    paths = [[stream(seed), None, _Running(), _LogAverage(N)] for seed in seeds]
     for _, nu, u, x, w, states, idx, hit in _blocks(N, float, float, float, np.int64, np.int64,
                                                      bool):
-        prev = steps(rng.random(out=u), prev, states)[-1]
-        ones(states)  # the number of ones up to nu
-        np.equal(states, rule._index_into(nu, x, w, idx), out=hit)
-        avg.add(np.multiply(hit, np.divide(sigma, np.sqrt(nu, out=w), out=w), out=x))
+        rule._index_into(nu, x, w, idx)
+        np.divide(sigma, np.sqrt(nu, out=w), out=w)
+        for path in paths:
+            rng, prev, ones, avg = path
+            path[1] = steps(rng.random(out=u), prev, states)[-1]
+            ones(states)  # the number of ones up to nu
+            hits = np.flatnonzero(np.equal(states, idx, out=hit))
+            avg.add(len(nu), hits, w[hits])
     target = math.exp(-0.5 * kappa * kappa) / SQRT_2PI
-    return PathEstimate(kind="markov", seed=seed, target=target, checkpoints=avg.checkpoints())
+    return [PathEstimate(kind="markov", seed=seed, target=target, checkpoints=path[3].checkpoints())
+            for seed, path in zip(seeds, paths)]
+
+
+def markov_asllt_path(chain: TwoStateChain, kappa: float, N: int, seed: int) -> PathEstimate:
+    """Path of (1/log n) sum (sigma/sqrt(nu)) 1{S_nu = kappa_nu}; target phi(kappa)."""
+    return markov_asllt_paths(chain, kappa, N, [seed])[0]
 
 
 def markov_asllt_expectation(chain: TwoStateChain, kappa: float, N: int) -> float:
@@ -586,6 +659,30 @@ def dickman_strong_llt(n: int, rho: DickmanRho) -> float:
     return float(gaps.sum())
 
 
+def asllt_dickman_paths(N: int, seeds: Sequence[int], rho: DickmanRho, x: float = 1.0) -> list:
+    """Coupled paths of (1/log N) sum_{n<=N} 1{T_n = round(x n)}, one per seed.
+
+    Target e^{-gamma} rho(x).  Each block's 1/n and round(x n) are computed
+    once for all the seeds; every seed then advances its own stream, sum
+    T_n and log-average.
+    """
+    _require_horizon(N, 4)
+    _dickman_index(x, N, least=1.0)  # x >= 1: round(x n) increases, so n = N is the largest
+    _require_tabulated(rho, x)
+    paths = [(stream(seed), _Running(), _LogAverage(N)) for seed in seeds]
+    for _, n, u, f, t, k, hit in _blocks(N, float, float, np.int64, np.int64, bool):
+        np.copyto(k, _round_half_up(x, n, f), casting="unsafe")
+        np.divide(1.0, n, out=f)
+        for rng, total, avg in paths:
+            np.less(rng.random(out=u), f, out=hit)  # Z_n ~ Bernoulli(1/n)
+            total(np.multiply(n, hit, out=t, casting="unsafe"))  # T_n = sum_{j<=n} j Z_j
+            hits = np.flatnonzero(np.equal(t, k, out=hit))
+            avg.add(len(n), hits, np.ones(len(hits)))
+    target = math.exp(-EULER_GAMMA) * float(rho(x))
+    return [PathEstimate(kind="dickman", seed=seed, target=target, checkpoints=avg.checkpoints())
+            for seed, (*_, avg) in zip(seeds, paths)]
+
+
 def asllt_dickman_path(N: int, seed: int, rho: DickmanRho, x: float = 1.0) -> PathEstimate:
     """Coupled path of (1/log N) sum_{n<=N} 1{T_n = round(x n)}.
 
@@ -594,18 +691,7 @@ def asllt_dickman_path(N: int, seed: int, rho: DickmanRho, x: float = 1.0) -> Pa
     order one for this model (unlike the i.i.d. estimator, where the early
     terms happen to cancel the harmonic-sum surplus).
     """
-    _require_horizon(N, 4)
-    _dickman_index(x, N, least=1.0)  # x >= 1: round(x n) increases, so n = N is the largest
-    _require_tabulated(rho, x)
-    rng, total, avg = stream(seed), _Running(), _LogAverage(N)
-    for _, n, u, f, t, k, hit in _blocks(N, float, float, np.int64, np.int64, bool):
-        np.less(rng.random(out=u), np.divide(1.0, n, out=f), out=hit)  # Z_n ~ Bernoulli(1/n)
-        total(np.multiply(n, hit, out=t, casting="unsafe"))  # T_n = sum_{j<=n} j Z_j
-        np.copyto(k, _round_half_up(x, n, f), casting="unsafe")
-        np.copyto(f, np.equal(t, k, out=hit))
-        avg.add(f)
-    return PathEstimate(kind="dickman", seed=seed, target=math.exp(-EULER_GAMMA) * float(rho(x)),
-                        checkpoints=avg.checkpoints())
+    return asllt_dickman_paths(N, [seed], rho, x)[0]
 
 
 def dickman_expectation(N: int, x: float, rho: Optional[DickmanRho] = None) -> float:

@@ -115,26 +115,36 @@ def cmd_delta_n(args) -> int:
     return 0
 
 
+def _seed_batches(seeds: list[int], k: int) -> list[list[int]]:
+    """seeds cut into k runs of consecutive seeds whose lengths differ by at most one."""
+    q, r = divmod(len(seeds), k)
+    cuts = [i * q + min(i, r) for i in range(k + 1)]
+    return [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
 def cmd_asllt(args) -> int:
     seeds = parse_seeds(args)
     kind = args.kind
     # the model is built once; laws and chains are immutable, so the threads share it
     if kind == "dickman":
-        one = functools.partial(asl.asllt_dickman_path, args.N, rho=asl.dickman_rho(), x=args.x)
+        paths = functools.partial(asl.asllt_dickman_paths, args.N, rho=asl.dickman_rho(),
+                                  x=args.x)
     elif kind == "markov":
-        one = functools.partial(asl.markov_asllt_path, asl.TwoStateChain(args.p01, args.p10),
-                                args.kappa, args.N)
+        paths = functools.partial(asl.markov_asllt_paths, asl.TwoStateChain(args.p01, args.p10),
+                                  args.kappa, args.N)
     elif kind == "t1":
-        one = functools.partial(asl.asllt_path, parse_dist(args.dist), args.kappa, args.N)
+        paths = functools.partial(asl.asllt_paths, parse_dist(args.dist), args.kappa, args.N)
     elif kind == "ce":  # one mass sequence for all seeds, once the walk is known to return
         walk = parse_dist(args.dist)
         asl.require_recurrent(walk, args.a)
-        one = functools.partial(asl.chung_erdos_path, walk, args.a, args.N,
-                                masses=asl.hit_mass_sequence(walk, args.a, args.N))
+        paths = functools.partial(asl.chung_erdos_paths, walk, args.a, args.N,
+                                  masses=asl.hit_mass_sequence(walk, args.a, args.N))
     else:
         raise LltLabError(f"unknown estimator kind {kind!r}")
-    with ThreadPoolExecutor(max_workers=worker_count(len(seeds))) as pool:
-        estimates = list(pool.map(one, seeds))
+    # each worker runs one batch of seeds in one pass; the rows come back in seed order
+    batches = _seed_batches(seeds, worker_count(len(seeds)))
+    with ThreadPoolExecutor(max_workers=len(batches)) as pool:
+        estimates = [est for batch in pool.map(paths, batches) for est in batch]
     out = Path(args.out) / f"asllt_{kind}.csv"
     asl.write_paths_csv(out, estimates)
     print(f"wrote {out}")

@@ -75,7 +75,9 @@ def _convolve(a: np.ndarray, b: np.ndarray, method: str = "auto") -> np.ndarray:
     # the real-input path of scipy.signal.fftconvolve, without importing scipy.signal
     n = len(a) + len(b) - 1
     size = next_fast_len(n, True)
-    out = irfft(rfft(a, size) * rfft(b, size), size)[:n]
+    fa = rfft(a, size)
+    fa *= fa if b is a else rfft(b, size)  # a squaring transforms once
+    out = irfft(fa, size)[:n]
     return np.maximum(out, 0.0)
 
 
@@ -290,6 +292,26 @@ def joint_law(p: LatticePmf, m: int, n: int) -> JointCell:
     return JointCell(m=m, n=n, a_indices=a_idx, b_indices=b_idx, table=table)
 
 
+#: atoms per edge that RunningConvolution.step reads in Python before it scans in numpy
+_EDGE = 8
+
+
+def _first_at(values: list, floor: float) -> int:
+    """Index of the first of values at or above floor, len(values) if none."""
+    for i, v in enumerate(values):
+        if v >= floor:
+            return i
+    return len(values)
+
+
+def _sum_in_order(values) -> float:
+    """values added strictly left to right (from Python 3.12 builtin sum compensates)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class RunningConvolution:
     """Law of S_n updated one summand at a time, in index space.
 
@@ -313,11 +335,18 @@ class RunningConvolution:
         self.n += 1
         # trim the edges below the floor; atoms inside stay whatever their size,
         # and a window with no atom at the floor is kept whole
-        lo = _scan_in(probs, self.floor)
-        hi = len(probs) - _scan_in(probs[::-1], self.floor)
-        if lo < hi and (lo > 0 or hi < len(probs)):
-            self.lost_mass += float(probs[:lo].sum() + probs[hi:].sum())
-            probs = probs[lo:hi]
+        size, floor = len(probs), self.floor
+        left, right = probs[:_EDGE].tolist(), probs[:-_EDGE - 1:-1].tolist()  # from outside in
+        lo, cut = _first_at(left, floor), _first_at(right, floor)
+        if lo < len(left) and cut < len(right):
+            # fewer than _EDGE atoms per edge, added left to right as numpy adds so few
+            lost = _sum_in_order(left[:lo]) + _sum_in_order(right[:cut][::-1])
+        else:
+            lo, cut = _scan_in(probs, floor), _scan_in(probs[::-1], floor)
+            lost = probs[:lo].sum() + probs[size - cut:].sum()
+        if lo < size - cut and (lo > 0 or cut > 0):
+            self.lost_mass += float(lost)
+            probs = probs[lo:size - cut]
             self.offset += lo
         self.probs = probs
 

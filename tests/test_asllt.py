@@ -539,3 +539,17 @@ def test_chung_erdos_expectation_rejects_a_degenerate_law():
 
     with pytest.raises(PreconditionError, match="degenerate summand law"):
         asl.chung_erdos_expectation(point_mass(0.0), 0, 100)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+def test_chung_erdos_masses_must_be_finite_and_nonnegative(bad):
+    p, N = lazy_walk(), 100
+    masses = asl.hit_mass_sequence(p, 0, N)
+    masses[57] = bad
+    for masses in (masses, np.full(N, bad)):
+        with pytest.raises(PreconditionError, match="finite and >= 0"):
+            asl.chung_erdos_expectation(p, 0, N, masses=masses)
+        with pytest.raises(PreconditionError, match="finite and >= 0"):
+            asl.chung_erdos_path(p, 0, N, seed=1, masses=masses)
+        with pytest.raises(PreconditionError, match="finite and >= 0"):
+            asl.chung_erdos_paths(p, 0, N, [1, 2, 3], masses=masses)

@@ -13,7 +13,8 @@ from llt_lab import asllt as asl
 from llt_lab.cli import main
 from llt_lab.errors import PreconditionError
 from llt_lab.gen import random_pmf
-from llt_lab.lattice import LatticePmf, bernoulli, lazy_walk, power_tail, uniform_range
+from llt_lab.lattice import (LatticePmf, bernoulli, lazy_walk, point_mass, power_tail,
+                             uniform_range)
 from llt_lab.rng import stream
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -149,6 +150,85 @@ def test_chung_erdos_path_is_bit_identical_to_the_whole_array_path(N):
             assert _bits(got.checkpoints) == _bits(want), (a, seed)
 
 
+# -- a batch of seeds in one pass, seed for seed ------------------------------------------
+
+
+SEEDS = (0, 4, 11)
+
+
+@pytest.mark.parametrize("N", HORIZONS)
+def test_t1_paths_are_the_whole_array_paths_seed_for_seed(N):
+    shifted = LatticePmf(-0.7, 0.5, {-2: 0.1, 0: 0.3, 3: 0.6})
+    for p, kappa in _cases(N, [(bernoulli(0.5), -0.6), (shifted, 0.9)], [(shifted, 0.9)]):
+        got = asl.asllt_paths(p, kappa, N, SEEDS)
+        assert [(e.kind, e.seed) for e in got] == [("t1", seed) for seed in SEEDS]
+        for est, seed in zip(got, SEEDS):
+            assert _bits(est.checkpoints) == _bits(_ref_t1(p, kappa, N, seed)), (p, kappa, seed)
+            assert est.target == asl.asllt_target(p, kappa)
+
+
+@pytest.mark.parametrize("N", HORIZONS)
+def test_markov_paths_are_the_whole_array_paths_seed_for_seed(N):
+    for c, kappa in _cases(N, [((0.3, 0.4), 0.7), ((0.8, 0.7), 0.0)], [((0.8, 0.7), 0.0)]):
+        chain = asl.TwoStateChain(*c)
+        got = asl.markov_asllt_paths(chain, kappa, N, SEEDS)
+        assert [est.seed for est in got] == list(SEEDS)
+        for est, seed in zip(got, SEEDS):
+            assert _bits(est.checkpoints) == _bits(_ref_markov(chain, kappa, N, seed)), (c, seed)
+
+
+@pytest.mark.parametrize("N", HORIZONS)
+def test_dickman_paths_are_the_whole_array_paths_seed_for_seed(N):
+    rho = asl.dickman_rho(u_max=4.0)
+    for x in _cases(N, (1.0, 2.5), (1.5,)):
+        got = asl.asllt_dickman_paths(N, SEEDS, rho, x=x)
+        assert [est.seed for est in got] == list(SEEDS)
+        for est, seed in zip(got, SEEDS):
+            assert _bits(est.checkpoints) == _bits(_ref_dickman(N, seed, x)), (x, seed)
+
+
+@pytest.mark.parametrize("N", HORIZONS)
+def test_chung_erdos_paths_are_the_whole_array_paths_seed_for_seed(N):
+    # at level 3 of the lazy walk M_k = 0 before step 3
+    exact = {a: asl.hit_mass_sequence(lazy_walk(), a, 40) for a in (0, 3)}
+    k = np.arange(1, N + 1)
+    for a in (0, 3):
+        m = np.concatenate((exact[a], 0.45 / np.sqrt(k[40:])))[:N]
+        if m.sum() < 2.0:
+            with pytest.raises(PreconditionError, match="insufficient mass"):
+                asl.chung_erdos_paths(lazy_walk(), a, N, SEEDS, masses=m)
+            continue
+        got = asl.chung_erdos_paths(lazy_walk(), a, N, SEEDS, masses=m)
+        assert [est.seed for est in got] == list(SEEDS)
+        for est, seed in zip(got, SEEDS):
+            want = _ref_chung_erdos(lazy_walk(), a, N, seed, m)
+            assert _bits(est.checkpoints) == _bits(want), (a, seed)
+
+
+def test_a_batch_of_no_seeds_is_empty():
+    assert asl.asllt_paths(bernoulli(0.5), 0.0, 100, []) == []
+    assert asl.asllt_dickman_paths(100, [], asl.dickman_rho(u_max=4.0)) == []
+
+
+def test_the_log_average_of_the_nonzero_terms_equals_the_dense_running_sum():
+    rng = stream(77)
+    N = 5000
+    for density in (0.0, 0.001, 0.3, 1.0):
+        terms = np.where(rng.random(N) < density, rng.random(N), 0.0)
+        norm = np.cumsum(rng.random(N))
+        for level in (None, norm):
+            got = asl._log_average(terms, N, level)
+            assert _bits(got) == _bits(_ref_log_average(terms, N, level)), (density, level)
+    # blocks with no hit carry the running sum over
+    avg, hits = asl._LogAverage(N), np.array([3, 900])
+    for lo in range(0, N, 1000):
+        inside = hits[(hits >= lo) & (hits < lo + 1000)] - lo
+        avg.add(1000, inside, np.full(len(inside), 0.25))
+    dense = np.zeros(N)
+    dense[hits] = 0.25
+    assert _bits(avg.checkpoints()) == _bits(_ref_log_average(dense, N))
+
+
 def test_block_draws_equal_rng_choice():
     rng = stream(2024)
     laws = [random_pmf(rng, max_atoms=12, window=40) for _ in range(20)]
@@ -164,6 +244,45 @@ def test_block_draws_equal_rng_choice():
                     hi = min(lo + B, N)
                     draw(np.empty(hi - lo), got[lo:hi])
                 assert np.array_equal(got, stream(seed).choice(supp, size=N, p=w / w.sum()))
+
+
+def test_comparison_draws_equal_rng_choice_at_equal_cdf_entries_and_the_cutoff():
+    # a sub-ulp atom leaves two equal cdf entries; the cdf widths around the cutoff switch
+    # between counting comparisons and the binary search
+    laws = [LatticePmf(0.0, 1.0, {0: 0.5, 1: 1e-30, 2: 0.5}),
+            LatticePmf(0.0, 1.0, {0: 1e-300, 1: 0.25, 5: 0.75}),
+            LatticePmf(0.0, 1.0, {-4: 0.3, 0: 0.7 - 1e-17, 2: 1e-17}), point_mass(3.0)]
+    laws += [uniform_range(0, w - 1) for w in (asl._FEW_ATOMS - 1, asl._FEW_ATOMS,
+                                               asl._FEW_ATOMS + 1)]
+    for p in laws:
+        supp, w = p.atoms()
+        for seed in range(4):
+            draw = asl._index_draws(p, stream(seed))
+            got = np.concatenate([draw(np.empty(n), np.empty(n, np.int64)) for n in (1, 999, B)])
+            want = stream(seed).choice(supp, size=len(got), p=w / w.sum())
+            assert np.array_equal(got, want), (p, seed)
+
+
+class _Uniforms:
+    """A stand-in generator whose uniforms are given, exact cdf entries among them."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, out):
+        out[:] = np.resize(self.values, len(out))
+        return out
+
+
+def test_comparison_draws_count_a_uniform_equal_to_a_cdf_entry_as_searchsorted_does():
+    for p in (bernoulli(0.5), lazy_walk(), LatticePmf(0.0, 1.0, {0: 0.25, 1: 0.25, 7: 0.5})):
+        supp, w = p.atoms()
+        cdf = np.cumsum(w / w.sum())
+        cdf /= cdf[-1]
+        u = np.concatenate((cdf[:-1], np.nextafter(cdf[:-1], 0.0), np.nextafter(cdf[:-1], 1.0),
+                            [0.0, np.nextafter(1.0, 0.0)]))
+        got = asl._index_draws(p, _Uniforms(u))(np.empty(len(u)), np.empty(len(u), np.int64))
+        assert got.tolist() == supp[cdf.searchsorted(u, side="right")].tolist(), p
 
 
 def _sequential_chain(chain, u, state):

@@ -329,3 +329,39 @@ def test_dickman_rho_grid_over_budget_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(asllt, "MAX_WINDOW", 1 << 12)  # --u-max 1e6 would ask for ~1e9 nodes
     assert run_cli(["dickman-rho", "--u-max", "5"], tmp_path) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ResourceLimitError"
+
+
+ASLLT_POOLS = {
+    "t1": ["--dist", "uniform:0..3", "--kappa", "0.4", "--N", "40000"],
+    "markov": ["--p01", "0.3", "--p10", "0.55", "--kappa", "-0.2", "--N", "40000"],
+    "dickman": ["--x", "1.5", "--N", "40000"],
+    "ce": ["--dist", "lazy", "--a", "0", "--N", "3000"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ASLLT_POOLS))
+def test_asllt_csv_bytes_do_not_depend_on_the_number_of_seed_batches(tmp_path, monkeypatch,
+                                                                     kind):
+    bodies = set()
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("LLT_LAB_THREADS", threads)
+        out = tmp_path / threads
+        out.mkdir()
+        assert main(["asllt", "--kind", kind, "--seeds", "0:7", "--out", str(out)]
+                    + ASLLT_POOLS[kind]) == 0
+        body = (out / f"asllt_{kind}.csv").read_bytes()
+        seeds = [line.split(b",")[1] for line in body.splitlines()[1:]]
+        assert seeds == sorted(seeds, key=int) and len(set(seeds)) == 7
+        bodies.add(body)
+    assert len(bodies) == 1
+
+
+def test_seed_batches_are_consecutive_runs_of_near_equal_length():
+    from llt_lab.cli import _seed_batches
+
+    for n in range(1, 12):
+        seeds = list(range(100, 100 + n))
+        for k in range(1, n + 1):
+            batches = _seed_batches(seeds, k)
+            assert len(batches) == k and sum(batches, []) == seeds
+            assert max(map(len, batches)) - min(map(len, batches)) <= 1

@@ -386,6 +386,33 @@ def test_running_convolution_trim_matches_flatnonzero_reference():
     assert 0.0 < run.prob(6) < run.prob(3) < 1e-3
 
 
+def test_running_convolution_trims_edges_like_the_reference():
+    # ten atoms below the floor at each edge: the first steps trim 8 or more atoms per edge,
+    # past the atoms that step reads in Python; later steps trim a few
+    tails = {k: 1e-35 for k in range(-12, -2)} | {k: 1e-35 for k in range(3, 13)}
+    wide = LatticePmf(0.0, 1.0, tails | {-1: 0.25, 0: 0.5 - 2e-34, 1: 0.25})
+    # three trimmed atoms whose sum depends on the order: (a + b) + b = a < (b + b) + a
+    a, b = 1e-31, 8e-48
+    ordered = LatticePmf(0.0, 1.0, {0: 0.5, 1: 0.5 - a - 2 * b, 2: a, 3: b, 4: b})
+    assert (a + b) + b != (b + b) + a
+    for p, floor, wide_cut in ((wide, 1e-30, True), (uniform_range(-9, 9), 0.05, True),
+                               (bernoulli(0.5), 1e-30, False), (ordered, 1e-30, False)):
+        run, ref = RunningConvolution(p, floor=floor), _FlatnonzeroRun(p, floor)
+        most = 0
+        for _ in range(200):
+            full = len(run.probs) + len(p.dense) - 1
+            run.step()
+            ref.step()
+            assert run.offset == ref.offset
+            assert run.probs.tobytes() == ref.probs.tobytes()
+            assert run.lost_mass == ref.lost_mass
+            most = max(most, full - len(run.probs))
+        assert (most >= 16) == wide_cut, p
+    first = RunningConvolution(wide)
+    first.step()
+    assert (first.offset, len(first.probs)) == (-1, 3)
+
+
 def test_asllt_expectation_matches_per_step_targets():
     for p, kappa in ((bernoulli(0.5), 0.37), (uniform_range(0, 4), -1.1), (bernoulli(0.2), 0.0)):
         rule = KappaRule.for_pmf(p, kappa)
@@ -405,6 +432,17 @@ def test_fft_convolution_bit_identical_to_scipy_signal():
         a, b = rng.random(la), rng.random(lb)
         want = np.maximum(fftconvolve(a, b), 0.0)
         assert _convolve(a, b, "fft").tobytes() == want.tobytes(), (la, lb)
+
+
+def test_fft_self_product_transforms_once_bit_identical_to_scipy_signal():
+    from scipy.signal import fftconvolve
+
+    rng = seeded(6)
+    for n in (4097, 5000, 8193, 1 << 14):
+        a = rng.random(n)
+        want = np.maximum(fftconvolve(a, a), 0.0).tobytes()
+        assert _convolve(a, a, "fft").tobytes() == want, n
+        assert _convolve(a, a.copy(), "fft").tobytes() == want, n
 
 
 def test_law_arrays_are_read_only():
