@@ -19,13 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gamma as gamma_fn, roots_legendre
 
-from .errors import (
-    DegenerateLawError,
-    PreconditionError,
-    UnsupportedParameterError,
-)
+from .errors import PreconditionError, UnsupportedParameterError
 from .exact import SumLawTable, residues_mod, sum_law, sup_cdf_distance
-from .lattice import SQRT_2PI, LatticePmf, bernoulli, char_fn, maximal_span, moments, write_csv
+from .lattice import SQRT_2PI, LatticePmf, bernoulli, char_fn, gaussian_scale, moments, write_csv
 
 
 @dataclass(frozen=True)
@@ -65,9 +61,8 @@ def _window(law: SumLawTable, pad: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gaussian_local_term(N, M: float, B2: float, D: float):
     """Normal mass approximation (D / sqrt(2 pi B2)) exp(-(N-M)^2 / (2 B2)), vectorised over N."""
-    if not B2 > 0:
-        raise DegenerateLawError("gaussian_local_term needs positive variance")
-    g = _normal_curve(N, M, B2, D) / math.sqrt(B2)
+    B = gaussian_scale(B2)
+    g = _normal_curve(N, M, B2, D) / B
     return float(g) if np.ndim(g) == 0 else g
 
 
@@ -81,22 +76,19 @@ def delta_from_table(law: SumLawTable) -> tuple[float, float]:
     mean, so one point past each edge closes the supremum exactly.
     """
     M, B2 = law.meta.mu, law.meta.sigma2
-    if B2 is None or B2 <= 0:
-        raise DegenerateLawError("delta_n needs positive variance")
     x, probs = _window(law, 1)
-    dev = np.abs(math.sqrt(B2) * probs - _normal_curve(x, M, B2, law.D))
+    dev = np.abs(gaussian_scale(B2) * probs - _normal_curve(x, M, B2, law.D))
     i = int(np.argmax(dev))
     return float(dev[i]), float(x[i])
 
 
 def delta_n(p: LatticePmf, n: int) -> float:
     """Delta_n for i.i.d. sums of p, using the declared span of p."""
-    if p.is_degenerate():
-        raise DegenerateLawError("degenerate: span undefined")
-    return delta_from_table(sum_law(p, n))[0]
+    return delta_n_report(p, n).error
 
 
 def delta_n_report(p: LatticePmf, n: int) -> ApproxReport:
+    gaussian_scale(moments(p).sigma2)  # before the sum law is built
     value, location = delta_from_table(sum_law(p, n))
     return ApproxReport(n=n, metric="delta_n", exact=value, approx=0.0, error=value,
                         normalization="B_n", flags=(("argmax", location),))
@@ -177,11 +169,9 @@ def edgeworth3_term(p: LatticePmf, n: int, N):
     with y = (N - n mu)/(sigma sqrt(n)).
     """
     mom = moments(p)
+    sigma = gaussian_scale(mom.sigma2)
     if mom.mu3 is None:
         raise PreconditionError("third central moment unavailable")
-    if mom.sigma2 is None or mom.sigma2 <= 0:
-        raise DegenerateLawError("edgeworth3_term needs positive variance")
-    sigma = math.sqrt(mom.sigma2)
     y = (N - n * mom.mu) / (sigma * math.sqrt(n))
     # products only, so an array N and a scalar N round alike
     corr = 1.0 + y * (y * y - 3.0) * mom.mu3 / (6.0 * sigma ** 3 * math.sqrt(n))
@@ -190,8 +180,9 @@ def edgeworth3_term(p: LatticePmf, n: int, N):
 
 def edgeworth3_sup_error(p: LatticePmf, n: int, with_correction: bool = True) -> float:
     """sup over lattice points of |P{S_n=N} - expansion term|."""
-    x, probs = _window(sum_law(p, n), 0)
     mom = moments(p)
+    gaussian_scale(mom.sigma2)  # before the sum law is built
+    x, probs = _window(sum_law(p, n), 0)
     approx = (edgeworth3_term(p, n, x) if with_correction
               else gaussian_local_term(x, n * mom.mu, n * mom.sigma2, p.D))
     return float(np.max(np.abs(probs - approx)))
@@ -212,10 +203,8 @@ def variation_distance(law: SumLawTable, A: Optional[float] = None,
     if A is None:
         A = law.meta.mu
     if B is None:
-        if law.meta.sigma2 is None or law.meta.sigma2 <= 0:
-            raise DegenerateLawError("variation_distance needs a scale")
-        B = math.sqrt(law.meta.sigma2)
-    if not B > 0:
+        B = gaussian_scale(law.meta.sigma2)
+    elif not B > 0:
         raise PreconditionError("scale B must be positive")
     x, probs = _window(law, int(math.ceil(40.0 * B / law.D)) + 2)
     return float(np.abs(probs - gaussian_local_term(x, A, B * B, law.D)).sum())
@@ -399,9 +388,7 @@ def mukhin_criterion(p: LatticePmf, n: int, v: Optional[int] = None) -> float:
     sup-CDF distance of the normalised sum to the normal and b_n = sigma
     sqrt(n).  Tends to 0 exactly when the local limit behaviour holds.
     """
-    mom = moments(p)
-    if mom.sigma2 is None or mom.sigma2 <= 0:
-        raise DegenerateLawError("mukhin_criterion needs positive variance")
+    gaussian_scale(moments(p).sigma2)  # before the sum law is built
     law = sum_law(p, n)
     bn = math.sqrt(law.meta.sigma2)
     if v is None:
@@ -439,6 +426,7 @@ def gamkrelidze_lower_check(p: LatticePmf, n: int, k: int) -> QuadratureLowerBou
     if k < 1:
         raise PreconditionError("k >= 1 required")
     mom = moments(p)
+    gaussian_scale(mom.sigma2)  # before the sum law is built
     bn = math.sqrt(n * mom.sigma2)
     dn = delta_n(p, n)
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError
 from .exact import RunningConvolution, _visit_tables, _WeightedDP, sum_law, weighted_sum_law
-from .lattice import (MASS_TOL, MAX_WINDOW, SQRT_2PI, LatticePmf, adjacent_overlap, moments,
-                      write_csv)
+from .lattice import (MASS_TOL, MAX_WINDOW, SQRT_2PI, LatticePmf, adjacent_overlap,
+                      gaussian_scale, moments, write_csv)
 from .rng import stream
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -78,9 +78,11 @@ _BLOCK = 1 << 15  # steps per block: a path's buffers take a few MB whatever its
 def _blocks(N: int, *dtypes):
     """The steps 1..N in consecutive blocks of at most _BLOCK.
 
-    Yields (the block's 0-based slice, its step numbers n as float64, one
-    scratch array per dtype), all views of buffers allocated once, so a path's
-    memory does not grow with N.
+    Yields (the block's 0-based slice, its step numbers n as float64, one scratch array per
+    dtype), all views of buffers allocated once: a path's memory does not grow with N, and few
+    seeds run faster.  Numpy temporaries in their place, even for the seed-free arrays only, made
+    2-seed paths at N = 2e6 slower in 4 of 4 interleaved runs on a 2-core Xeon (min of 7 calls:
+    t1 0.064-0.068 -> 0.071-0.109 s, Markov 0.076-0.089 -> 0.081-0.128 s); at 20 seeds, noise.
     """
     size = min(N, _BLOCK)
     n = np.arange(1.0, size + 1.0)
@@ -176,9 +178,7 @@ class KappaRule:
     @classmethod
     def for_pmf(cls, p: LatticePmf, kappa: float) -> "KappaRule":
         mom = moments(p)
-        if mom.sigma2 is None or mom.sigma2 <= 0:
-            raise PreconditionError("kappa rule needs positive variance")
-        return cls(mu=mom.mu, sigma=math.sqrt(mom.sigma2), v0=p.v0, D=p.D, kappa=kappa)
+        return cls(mu=mom.mu, sigma=gaussian_scale(mom.sigma2), v0=p.v0, D=p.D, kappa=kappa)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.mu, self.sigma, self.v0, self.D, self.kappa))):
@@ -192,7 +192,8 @@ class KappaRule:
     def _index_into(self, n: np.ndarray, x: np.ndarray, scratch: np.ndarray,
                     out: np.ndarray) -> np.ndarray:
         """index(n) written into the int64 array out; x and scratch are float arrays like n."""
-        # in place, in the rounding order of floor((n mu + kappa sigma sqrt(n) - n v0) / D + 1/2)
+        # in place, as temporaries made few-seed paths slower (see _blocks), and in the
+        # rounding order of floor((n mu + kappa sigma sqrt(n) - n v0) / D + 1/2)
         np.multiply(n, self.mu, out=x)
         x += np.multiply(np.sqrt(n, out=scratch), self.kappa * self.sigma, out=scratch)
         x -= np.multiply(n, self.v0, out=scratch)
@@ -290,11 +291,13 @@ def hit_mass_sequence(p: LatticePmf, a_index, N: int) -> np.ndarray:
 
 
 def require_recurrent(p: LatticePmf, a_index: int) -> None:
-    """Reject a walk that visits the level a finitely often in expectation.
+    """Reject a one-point law, and a walk that visits the level a finitely often in expectation.
 
     The level a is an index, so a walk whose index increments have a nonzero
     mean drifts away from it: sum_k P{S_k = a} is finite and no N suffices.
     """
+    if p.is_degenerate():
+        raise PreconditionError("degenerate summand law")
     drift = float(np.dot(*p.atoms()))
     if abs(drift) > MASS_TOL:
         raise PreconditionError(f"index increments have mean {drift:.6g}, not 0: level "
@@ -304,8 +307,6 @@ def require_recurrent(p: LatticePmf, a_index: int) -> None:
 def _hit_masses(p: LatticePmf, a_index: int, N: int,
                 masses: Optional[np.ndarray]) -> np.ndarray:
     """Hit masses m_k = P{S_k = a} for k = 1..N (or the given ones), once their total M_N >= 2."""
-    if p.is_degenerate():
-        raise PreconditionError("degenerate summand law")
     require_recurrent(p, a_index)
     m = hit_mass_sequence(p, a_index, N) if masses is None else np.asarray(masses, np.float64)
     if len(m) != N:
@@ -647,7 +648,8 @@ def dickman_strong_llt(n: int, rho: DickmanRho) -> float:
     edge = int(math.ceil(n * rho.u_max))
     hi = max(law.offset + len(law.dense) - 1, edge)
     # past the last positive atom and past n u_max both terms are 0.0: the gaps are evaluated
-    # up to there, and the zeros beyond keep the pairwise grouping of the full sum
+    # up to there, and the zeros beyond keep the pairwise grouping of the full sum.  Evaluating
+    # the full range raised the estimators benchmark's peak RSS from ~116 to 130 MB (4 pairs).
     top = max(law.offset + int(np.flatnonzero(law.dense)[-1]), edge)
     kappa = np.arange(0, top + 1)
     probs = np.zeros(top + 1)

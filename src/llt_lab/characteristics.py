@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError
 from .exact import residues_mod
-from .lattice import MAX_WINDOW, LatticePmf, LatticeWindow, adjacent_overlap, write_csv
+from .lattice import (MAX_WINDOW, LatticePmf, LatticeWindow, adjacent_overlap, gaussian_scale,
+                      write_csv)
 
 
 def _integer_atoms(p: LatticeWindow) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +149,7 @@ def mukhin_hn_ratio(pmfs: list[LatticePmf], delta_n: float) -> float:
         b2 += float(np.dot(masses, (supp - mu) ** 2))
         l3 += float(np.dot(masses, np.abs(supp - mu) ** 3))
         hn_grid += [mukhin_H(p, d) for d in d_grid]
-    bn = math.sqrt(b2)
+    bn = gaussian_scale(b2)
     ln = l3 / bn ** 3
     hn = float(hn_grid.min())
     if hn == 0:

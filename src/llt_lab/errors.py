@@ -5,16 +5,16 @@ class LltLabError(Exception):
     """Base class for all package errors."""
 
 
-class DegenerateLawError(LltLabError):
+class PreconditionError(LltLabError):
+    """An operation precondition failed; the message names the inequality."""
+
+
+class DegenerateLawError(PreconditionError):
     """Operation is undefined for a single-point (zero-variance) law."""
 
 
 class NoBernoulliComponentError(LltLabError):
     """Raised when a pmf has no pair of adjacent lattice atoms (theta = 0)."""
-
-
-class PreconditionError(LltLabError):
-    """An operation precondition failed; the message names the inequality."""
 
 
 class ResourceLimitError(LltLabError):

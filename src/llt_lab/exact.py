@@ -11,7 +11,6 @@ floor whose dropped mass is reported, never hidden.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,6 +25,7 @@ from .lattice import (
     LatticePmf,
     LatticeWindow,
     MomentSummary,
+    gaussian_scale,
     moments,
     write_csv,
 )
@@ -395,10 +395,8 @@ def sup_cdf_distance(law: SumLawTable, center: Optional[float] = None,
     if center is None:
         center = law.meta.mu
     if scale is None:
-        if law.meta.sigma2 is None or law.meta.sigma2 <= 0:
-            raise DegenerateLawError("sup_cdf_distance needs a nondegenerate law")
-        scale = math.sqrt(law.meta.sigma2)
-    if not scale > 0:
+        scale = gaussian_scale(law.meta.sigma2)
+    elif not scale > 0:
         raise DegenerateLawError("scale must be positive")
     x, below, at = _lattice_cdf_pairs(law, center, scale)
     g = ndtr(x)

@@ -339,6 +339,15 @@ def moments(p: LatticePmf) -> MomentSummary:
     return MomentSummary(mu=mu, sigma2=sigma2, mu3=mu3)
 
 
+def gaussian_scale(sigma2: Optional[float]) -> float:
+    """sqrt(sigma2), the scale of every Gaussian comparison.  A missing or infinite variance
+    (a heavy tail: its limit is stable) raises PreconditionError, sigma2 <= 0 DegenerateLawError."""
+    if sigma2 is None or not 0 < sigma2 < math.inf:  # NaN fails too
+        error = DegenerateLawError if sigma2 is not None and sigma2 <= 0 else PreconditionError
+        raise error(f"a Gaussian scale needs a finite positive variance, got {sigma2!r}")
+    return math.sqrt(sigma2)
+
+
 def char_fn(p: LatticePmf, t) -> complex | np.ndarray:
     """Characteristic function sum_k f(k) exp(i t (v0 + k D)).
 
