@@ -162,16 +162,22 @@ def demoivre_bound(n: int, p: float, k: int, gamma: float) -> DeMoivreRecord:
 # -- third-order expansion ---------------------------------------------------------
 
 
+def _edgeworth_moments(p: LatticePmf, with_correction: bool = True):
+    """(moments(p), sigma); the correction needs a third moment.  Checked before any sum law."""
+    mom = moments(p)
+    sigma = gaussian_scale(mom.sigma2)
+    if with_correction and mom.mu3 is None:
+        raise PreconditionError("third central moment unavailable")
+    return mom, sigma
+
+
 def edgeworth3_term(p: LatticePmf, n: int, N):
     """Gaussian local term with the first skewness correction, vectorised over N.
 
     (D/(sigma sqrt(n))) phi(y) (1 + (y^3 - 3y) mu3 / (6 sigma^3 sqrt(n)))
     with y = (N - n mu)/(sigma sqrt(n)).
     """
-    mom = moments(p)
-    sigma = gaussian_scale(mom.sigma2)
-    if mom.mu3 is None:
-        raise PreconditionError("third central moment unavailable")
+    mom, sigma = _edgeworth_moments(p)
     y = (N - n * mom.mu) / (sigma * math.sqrt(n))
     # products only, so an array N and a scalar N round alike
     corr = 1.0 + y * (y * y - 3.0) * mom.mu3 / (6.0 * sigma ** 3 * math.sqrt(n))
@@ -180,8 +186,7 @@ def edgeworth3_term(p: LatticePmf, n: int, N):
 
 def edgeworth3_sup_error(p: LatticePmf, n: int, with_correction: bool = True) -> float:
     """sup over lattice points of |P{S_n=N} - expansion term|."""
-    mom = moments(p)
-    gaussian_scale(mom.sigma2)  # before the sum law is built
+    mom, _ = _edgeworth_moments(p, with_correction)
     x, probs = _window(sum_law(p, n), 0)
     approx = (edgeworth3_term(p, n, x) if with_correction
               else gaussian_local_term(x, n * mom.mu, n * mom.sigma2, p.D))
@@ -204,8 +209,8 @@ def variation_distance(law: SumLawTable, A: Optional[float] = None,
         A = law.meta.mu
     if B is None:
         B = gaussian_scale(law.meta.sigma2)
-    elif not B > 0:
-        raise PreconditionError("scale B must be positive")
+    elif not 0 < B < math.inf:  # NaN fails too
+        raise PreconditionError(f"scale B must be finite and positive, got {B!r}")
     x, probs = _window(law, int(math.ceil(40.0 * B / law.D)) + 2)
     return float(np.abs(probs - gaussian_local_term(x, A, B * B, law.D)).sum())
 

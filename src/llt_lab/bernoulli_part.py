@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import NoBernoulliComponentError, PreconditionError
 from .exact import SumLawTable, sum_law, sup_cdf_distance, weighted_sum_law
-from .lattice import SQRT_2PI, LatticePmf, adjacent_overlap as theta_max, bernoulli
+from .lattice import (SQRT_2PI, LatticePmf, adjacent_overlap as theta_max, bernoulli,
+                      gaussian_scale)
 from .rng import stream
 
 
@@ -170,8 +171,9 @@ class EffectiveRateInput:
     def __post_init__(self):
         if not 0.0 < self.h < 1.0:
             raise PreconditionError("h must lie in (0,1)")
-        if self.var_sn <= 0 or self.theta_n <= 0:
-            raise PreconditionError("variance and Theta_n must be positive")
+        gaussian_scale(self.var_sn)
+        if not self.theta_n > 0:  # NaN fails too
+            raise PreconditionError(f"Theta_n must be positive, got {self.theta_n!r}")
 
     @property
     def C1(self) -> float:

@@ -91,7 +91,7 @@ def mukhin_D(p: LatticePmf, d: float) -> float:
     minima is the exact minimum (O(width^2) work).
     """
     supp, masses = _integer_atoms(p)
-    if abs(d) > 0.5 + 1e-15:
+    if not abs(d) <= 0.5 + 1e-15:  # NaN fails too
         raise PreconditionError("mukhin_D requires |d| <= 1/2")
     if d == 0.0:
         return 0.0
@@ -109,7 +109,7 @@ def mukhin_D(p: LatticePmf, d: float) -> float:
 def mukhin_H(p: LatticePmf, d: float) -> float:
     """E<X* d>^2 over the exact symmetrisation X* of X."""
     p.integer_view()
-    if abs(d) > 0.5 + 1e-15:
+    if not abs(d) <= 0.5 + 1e-15:  # NaN fails too
         raise PreconditionError("mukhin_H requires |d| <= 1/2")
     supp, masses = _integer_atoms(symmetrized(p))
     return float(np.dot(masses, _nearest_int_sq(supp * d)))

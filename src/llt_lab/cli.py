@@ -79,6 +79,13 @@ def parse_seeds(args) -> list[int]:
     return [args.seed]
 
 
+def _write_out(args, name: str, write, *data, **kw) -> None:
+    """write(path, *data, **kw) to the file name under --out, then report the path."""
+    path = Path(args.out) / name
+    write(path, *data, **kw)
+    print(f"wrote {path}")
+
+
 def _write_svg(path: Path, xs, ys, title: str) -> None:
     """Minimal deterministic polyline plot (log-free, scaled to the data box)."""
     W, H, pad = 640, 400, 40
@@ -104,14 +111,11 @@ def cmd_delta_n(args) -> int:
     p = parse_dist(args.dist)
     grid = parse_grid(args.n)
     reports = [delta_n_report(p, n) for n in grid]
-    out = Path(args.out) / "delta_n.csv"
-    write_reports_csv(out, reports,
-                      comment="delta_n = sup_N |B_n P(S_n=N) - (D/sqrt(2pi)) exp(-(N-M_n)^2/(2 B_n^2))|")
-    print(f"wrote {out}")
+    _write_out(args, "delta_n.csv", write_reports_csv, reports,
+               comment="delta_n = sup_N |B_n P(S_n=N) - (D/sqrt(2pi)) exp(-(N-M_n)^2/(2 B_n^2))|")
     if args.format == "svg":
-        svg = Path(args.out) / "delta_n.svg"
-        _write_svg(svg, grid, [r.error for r in reports], "scaled local error vs n")
-        print(f"wrote {svg}")
+        _write_out(args, "delta_n.svg", _write_svg, grid, [r.error for r in reports],
+                   "scaled local error vs n")
     return 0
 
 
@@ -122,48 +126,48 @@ def _seed_batches(seeds: list[int], k: int) -> list[list[int]]:
     return [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
+def _chung_erdos_kernel(args):
+    """One mass sequence for all seeds, computed once the walk is known to return."""
+    walk = parse_dist(args.dist)
+    asl.require_recurrent(walk, args.a)
+    return functools.partial(asl.chung_erdos_paths, walk, args.a, args.N,
+                             masses=asl.hit_mass_sequence(walk, args.a, args.N))
+
+
+#: --kind -> the builder of that estimator's batch kernel, args -> (seeds -> estimates).
+#: The model is built once; laws and chains are immutable, so the worker threads share it.
+ASLLT_KINDS = {
+    "t1": lambda args: functools.partial(asl.asllt_paths, parse_dist(args.dist), args.kappa,
+                                         args.N),
+    "ce": _chung_erdos_kernel,
+    "markov": lambda args: functools.partial(
+        asl.markov_asllt_paths, asl.TwoStateChain(args.p01, args.p10), args.kappa, args.N),
+    "dickman": lambda args: functools.partial(asl.asllt_dickman_paths, args.N,
+                                              rho=asl.dickman_rho(), x=args.x),
+}
+
+
 def cmd_asllt(args) -> int:
     seeds = parse_seeds(args)
-    kind = args.kind
-    # the model is built once; laws and chains are immutable, so the threads share it
-    if kind == "dickman":
-        paths = functools.partial(asl.asllt_dickman_paths, args.N, rho=asl.dickman_rho(),
-                                  x=args.x)
-    elif kind == "markov":
-        paths = functools.partial(asl.markov_asllt_paths, asl.TwoStateChain(args.p01, args.p10),
-                                  args.kappa, args.N)
-    elif kind == "t1":
-        paths = functools.partial(asl.asllt_paths, parse_dist(args.dist), args.kappa, args.N)
-    elif kind == "ce":  # one mass sequence for all seeds, once the walk is known to return
-        walk = parse_dist(args.dist)
-        asl.require_recurrent(walk, args.a)
-        paths = functools.partial(asl.chung_erdos_paths, walk, args.a, args.N,
-                                  masses=asl.hit_mass_sequence(walk, args.a, args.N))
-    else:
-        raise LltLabError(f"unknown estimator kind {kind!r}")
+    paths = ASLLT_KINDS[args.kind](args)
     # each worker runs one batch of seeds in one pass; the rows come back in seed order
     batches = _seed_batches(seeds, worker_count(len(seeds)))
     with ThreadPoolExecutor(max_workers=len(batches)) as pool:
         estimates = [est for batch in pool.map(paths, batches) for est in batch]
-    out = Path(args.out) / f"asllt_{kind}.csv"
-    asl.write_paths_csv(out, estimates)
-    print(f"wrote {out}")
+    _write_out(args, f"asllt_{args.kind}.csv", asl.write_paths_csv, estimates)
     if args.format == "svg":
-        svg = Path(args.out) / f"asllt_{kind}.svg"
         est = estimates[0]
-        _write_svg(svg, [math.log10(n) for n, _ in est.checkpoints],
-                   [v for _, v in est.checkpoints],
+        _write_out(args, f"asllt_{args.kind}.svg", _write_svg,
+                   [math.log10(n) for n, _ in est.checkpoints], [v for _, v in est.checkpoints],
                    f"log-average trace vs log10 N (target {est.target:.4f})")
-        print(f"wrote {svg}")
     return 0
 
 
 def cmd_dickman_rho(args) -> int:
     rho = asl.dickman_rho(u_max=args.u_max, step=args.step)
-    out = Path(args.out) / "dickman_rho.csv"
     rows = ((i * rho.step, v) for i, v in enumerate(rho.values.tolist()))
-    write_csv(out, ["u", "rho"], rows, "solution of u r'(u) + r(u-1) = 0, r=1 on [0,1]")
-    print(f"wrote {out}")
+    _write_out(args, "dickman_rho.csv", write_csv, ["u", "rho"], rows,
+               "solution of u r'(u) + r(u-1) = 0, r=1 on [0,1]")
     return 0
 
 
@@ -171,27 +175,20 @@ def cmd_stable_error(args) -> int:
     p = power_tail(args.alpha, c=args.c)
     grid = parse_grid(args.n)
     reports = [stable_llt_error(p, n, x_max=args.x_max) for n in grid]
-    out = Path(args.out) / "stable_error.csv"
-    write_reports_csv(out, reports, comment="sup_m |B_n P(S_n=m) - g(m/B_n)|")
-    print(f"wrote {out}")
+    _write_out(args, "stable_error.csv", write_reports_csv, reports,
+               comment="sup_m |B_n P(S_n=m) - g(m/B_n)|")
     return 0
 
 
 def cmd_characteristics(args) -> int:
     p = parse_dist(args.dist).relabel()
-    rec = characteristics_record(p)
-    out = Path(args.out) / "characteristics.csv"
-    rec.to_csv(out)
-    print(f"wrote {out}")
+    _write_out(args, "characteristics.csv", characteristics_record(p).to_csv)
     return 0
 
 
 def cmd_sum_law(args) -> int:
-    p = parse_dist(args.dist)
-    law = sum_law(p, args.N)
-    out = Path(args.out) / f"sum_law_{args.N}.csv"
-    law.to_csv(out)
-    print(f"wrote {out}")
+    law = sum_law(parse_dist(args.dist), args.N)
+    _write_out(args, f"sum_law_{args.N}.csv", law.to_csv)
     return 0
 
 
@@ -226,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=cmd_delta_n)
 
     a = sub.add_parser("asllt", help="almost-sure local estimator paths")
-    a.add_argument("--kind", choices=["t1", "ce", "markov", "dickman"], required=True)
+    a.add_argument("--kind", choices=list(ASLLT_KINDS), required=True)
     a.add_argument("--dist", default="bernoulli:0.5")
     a.add_argument("--x", type=float, default=1.0, help="dickman target slope")
     a.add_argument("--kappa", type=float, default=0.0, help="normalised offset")
@@ -274,6 +271,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if "out" in args and not Path(args.out).is_dir():  # before any work
+            raise LltLabError(f"--out {args.out!r} is not an existing directory")
         return args.fn(args)
     except (LltLabError, ValueError, KeyError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),

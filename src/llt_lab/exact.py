@@ -396,8 +396,8 @@ def sup_cdf_distance(law: SumLawTable, center: Optional[float] = None,
         center = law.meta.mu
     if scale is None:
         scale = gaussian_scale(law.meta.sigma2)
-    elif not scale > 0:
-        raise DegenerateLawError("scale must be positive")
+    elif not 0 < scale < np.inf:  # NaN fails too
+        raise DegenerateLawError(f"scale must be finite and positive, got {scale!r}")
     x, below, at = _lattice_cdf_pairs(law, center, scale)
     g = ndtr(x)
     return float(np.max(np.maximum(np.abs(below - g), np.abs(at - g))))

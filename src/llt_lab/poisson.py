@@ -9,9 +9,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .exact import SumLawTable, _convolve, weighted_sum_law
-from .lattice import LatticeWindow, write_csv
+from .lattice import MAX_WINDOW, LatticeWindow, write_csv
 
 #: Poisson tails are truncated where the remaining mass drops below this
 POISSON_TAIL = 1e-14
@@ -42,6 +42,8 @@ def _as_array(law) -> np.ndarray:
         off, dense = law.integer_view()
         if off < 0:
             raise PreconditionError("law must live on nonnegative integers")
+        if off + len(dense) > MAX_WINDOW:  # before the zeros below index off are allocated
+            raise ResourceLimitError(f"dense window of {off + len(dense)} entries exceeds budget")
         return np.concatenate((np.zeros(off), dense))
     arr = np.asarray(law, dtype=np.float64)
     if arr.ndim != 1 or np.any(arr < -1e-15):

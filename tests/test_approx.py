@@ -460,3 +460,20 @@ def test_aud_residues_equal_the_written_out_fold_bit_for_bit():
             res, roz = _reference_residue_fold(seq, h)
             assert diag.residues.tobytes() == res.tobytes()
             assert diag.rozanov_partial_products.tobytes() == roz.tobytes()
+
+
+def test_edgeworth_sup_error_checks_the_third_moment_before_the_sum_law(monkeypatch):
+    from llt_lab.lattice import power_tail
+
+    def no_sum_law(*args, **kwargs):
+        raise AssertionError("sum law built before the third moment was checked")
+
+    monkeypatch.setattr(ax, "sum_law", no_sum_law)
+    with pytest.raises(PreconditionError, match="third central moment"):
+        ax.edgeworth3_sup_error(power_tail(2.5, max_index=2000), 64)
+
+
+@pytest.mark.parametrize("B", [math.inf, math.nan, 0.0, -1.0])
+def test_variation_distance_rejects_a_scale_that_is_not_finite_and_positive(B):
+    with pytest.raises(PreconditionError, match="scale B must be finite and positive"):
+        ax.variation_distance(sum_law(bernoulli(0.5), 16), B=B)

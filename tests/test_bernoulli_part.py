@@ -523,3 +523,12 @@ def test_count_tails_reject_a_non_finite_or_negative_band():
     assert bp.rho_exact_iid(10, 0.3, 1.5) == float(sum_law(bernoulli(0.3), 10).dense[8:].sum())
     # h = 0 leaves out only K = mu, here 5 exactly
     assert bp.rho_exact_iid(10, 0.5, 0.0) == pytest.approx(1.0 - 252 / 1024, rel=1e-15)
+
+
+@pytest.mark.parametrize("field", ["var_sn", "theta_n"])
+def test_effective_input_rejects_a_nan_variance_or_theta(field):
+    kw = dict(n=10, var_sn=1.0, mean_sn=0.0, theta_n=1.0, h_n=0.1, rho_n=0.1, h=0.5, D=1.0,
+              C0=1.0)
+    bp.EffectiveRateInput(**kw)
+    with pytest.raises(PreconditionError):
+        bp.EffectiveRateInput(**{**kw, field: math.nan})

@@ -302,3 +302,9 @@ def test_nu_equals_the_written_out_residue_fold_bit_for_bit():
     for p in laws:
         for h in (2, 3, 4, 5, 7, 13):
             assert ch.nu_char(p, h).hex() == _reference_nu(p, h).hex(), (p.to_json(), h)
+
+
+@pytest.mark.parametrize("fn", [ch.mukhin_D, ch.mukhin_H])
+def test_mukhin_characteristics_reject_a_nan_d(fn):
+    with pytest.raises(PreconditionError, match=r"\|d\| <= 1/2"):
+        fn(uniform_range(0, 3), math.nan)

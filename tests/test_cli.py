@@ -365,3 +365,42 @@ def test_seed_batches_are_consecutive_runs_of_near_equal_length():
             batches = _seed_batches(seeds, k)
             assert len(batches) == k and sum(batches, []) == seeds
             assert max(map(len, batches)) - min(map(len, batches)) <= 1
+
+
+def test_asllt_svg_output(tmp_path, capsys):
+    assert run_cli(["asllt", "--kind", "t1", "--N", "1000", "--seeds", "0:3",
+                    "--format", "svg"], tmp_path) == 0
+    svg = (tmp_path / "asllt_t1.svg").read_text()
+    assert svg.startswith("<svg") and "polyline" in svg
+    assert capsys.readouterr().out.splitlines() == [f"wrote {tmp_path / 'asllt_t1.csv'}",
+                                                    f"wrote {tmp_path / 'asllt_t1.svg'}"]
+
+
+@pytest.mark.parametrize("args", [
+    ["delta-n", "--dist", "bernoulli:0.5", "--n", "8..16"],
+    ["asllt", "--kind", "t1", "--N", "100"],
+    ["dickman-rho", "--u-max", "3"],
+    ["stable-error", "--alpha", "0.5", "--n", "4", "--x-max", "40"],
+    ["characteristics", "--dist", "uniform:0..5"],
+    ["sum-law", "--dist", "coin", "--N", "4"],
+])
+def test_out_must_be_an_existing_directory(tmp_path, capsys, args):
+    afile = tmp_path / "file"
+    afile.write_text("")
+    for out in (tmp_path / "missing", afile):
+        assert main(args + ["--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "LltLabError" and "not an existing directory" in err["detail"]
+    assert sorted(tmp_path.iterdir()) == [afile]
+
+
+def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    from llt_lab import asllt
+
+    def no_masses(*args, **kwargs):
+        raise AssertionError("hit masses computed before --out was checked")
+
+    monkeypatch.setattr(asllt, "hit_mass_sequence", no_masses)
+    assert main(["asllt", "--kind", "ce", "--dist", "lazy", "--N", "100000", "--seeds", "0:4",
+                 "--out", str(tmp_path / "missing")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "LltLabError"

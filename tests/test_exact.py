@@ -497,3 +497,12 @@ def test_joint_law_checks_the_budget_before_building_the_table(monkeypatch):
     assert joint_law(lazy_walk(), 2, 4).table.shape == (5, 9)
     with pytest.raises(ResourceLimitError, match="joint table"):
         joint_law(lazy_walk(), 2, 5)
+
+
+def test_sup_cdf_distance_rejects_a_scale_that_is_not_finite_and_positive():
+    from llt_lab.errors import DegenerateLawError
+
+    law = sum_law(bernoulli(0.5), 16)
+    for scale in (math.inf, math.nan, 0.0):
+        with pytest.raises(DegenerateLawError, match="scale must be finite and positive"):
+            sup_cdf_distance(law, scale=scale)

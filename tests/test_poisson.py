@@ -258,3 +258,14 @@ def test_convolve_laws_of_one_law_is_a_fresh_equal_array():
     got = ps.convolve_laws([law])
     assert got is not law and not np.shares_memory(got, law)
     assert got.tobytes() == _old_convolve_laws([law]).tobytes() == law.tobytes()
+
+
+def test_a_law_far_from_zero_fails_the_budget_before_it_is_padded(monkeypatch):
+    from llt_lab.errors import ResourceLimitError
+    from llt_lab.lattice import point_mass
+
+    monkeypatch.setattr(ps, "MAX_WINDOW", 1000)
+    assert ps.tv_distance(point_mass(999), [1.0]) == 1.0  # 1,000 entries: inside the budget
+    for value in (1000, 2e6):
+        with pytest.raises(ResourceLimitError):
+            ps.tv_distance(point_mass(value), [1.0])

@@ -205,3 +205,11 @@ def test_stable_llt_error_rejects_a_non_finite_window(half_tail_pmf):
     for x_max in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(PreconditionError, match="x_max must be finite"):
             stable_llt_error(half_tail_pmf, 8, x_max=x_max)
+
+
+def test_stable_llt_error_flags_an_excessive_truncation_mass():
+    p = power_tail(0.5, tail_mass=0.03)
+    flags = dict(stable_llt_error(p, 32, x_max=0.5).flags)
+    assert flags["truncation_mass_excessive"] == pytest.approx(32 * p.discarded_mass)
+    assert flags["truncation_mass_excessive"] > 0.5
+    assert stable_llt_error(p, 8, x_max=0.5).flags == ()  # 8 x 0.03 stays below 1/2
