@@ -72,13 +72,21 @@ def _convolve(a: np.ndarray, b: np.ndarray, method: str = "auto") -> np.ndarray:
     if method == "direct" or short == 1 \
             or (method == "auto" and (short <= 8 or long <= DIRECT_CONV_LIMIT)):
         return np.convolve(a, b)
-    # the real-input path of scipy.signal.fftconvolve, without importing scipy.signal
+    out = _fft_product(a, b)
+    # clipped in place: a second array of the product's size would raise the peak memory
+    return np.maximum(out, 0.0, out=out)
+
+
+def _fft_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b by real FFT, signs and FFT noise kept (``_convolve`` clips it at 0 for masses).
+
+    The real-input path of scipy.signal.fftconvolve, without importing scipy.signal.
+    """
     n = len(a) + len(b) - 1
     size = next_fast_len(n, True)
     fa = rfft(a, size)
     fa *= fa if b is a else rfft(b, size)  # a squaring transforms once
-    out = irfft(fa, size)[:n]
-    return np.maximum(out, 0.0)
+    return irfft(fa, size)[:n]
 
 
 def _cut(arr: np.ndarray, off: int, max_index: Optional[int]) -> np.ndarray:
@@ -217,6 +225,42 @@ class _WeightedDP:
         self.hi = min(self.hi + a, self.top)
 
 
+#: _series_exp finds blocks of at most this many coefficients one at a time ...
+_EXP_LEAF = 32
+#: ... and convolves directly while the block is at most this long
+_EXP_DIRECT = 128
+
+
+def _series_exp(L: np.ndarray) -> np.ndarray:
+    """Coefficients H_0..H_{M-1} of exp(L(z)) mod z^M, for M = len(L) and L_0 = 0.
+
+    From z H' = (z L') H: m H_m = sum_{j=1..m} j L_j H_{m-j} with H_0 = 1.  The
+    sums are split by divide and conquer: once H is known on [lo, mid), its
+    share of the sums on [mid, hi) is one convolution, so the work is
+    O(M log^2 M).  L may have either sign, so the products are raw:
+    ``_fft_product``, not the clipped ``_convolve``.
+    """
+    M = len(L)
+    G = np.arange(M) * L  # j L_j
+    H, acc = np.zeros(M), np.zeros(M)  # acc[m]: the part of m H_m from blocks already solved
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo <= _EXP_LEAF:
+            for m in range(max(lo, 1), hi):
+                H[m] = (acc[m] + np.dot(G[m - lo:0:-1], H[lo:m])) / m
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        a, b = H[lo:mid], G[: hi - lo]
+        prod = np.convolve(a, b) if hi - lo <= _EXP_DIRECT else _fft_product(a, b)
+        acc[mid:hi] += prod[mid - lo: hi - lo]
+        solve(mid, hi)
+
+    H[:1] = 1.0
+    solve(0, M)
+    return H
+
+
 def weighted_sum_law(weights: Sequence[int], probs: Sequence[float],
                      max_value: Optional[int] = None) -> SumLawTable:
     """Exact law of sum a_k Z_k with independent Z_k ~ Bernoulli(q_k).
@@ -294,6 +338,10 @@ def joint_law(p: LatticePmf, m: int, n: int) -> JointCell:
 
 #: atoms per edge that RunningConvolution.step reads in Python before it scans in numpy
 _EDGE = 8
+#: RunningConvolution.advance takes at most this many steps at once ...
+_BLOCK_STEPS = 128
+#: ... and its table of the powers p^{*j}, j = 1..B, holds at most this many floats
+_BLOCK_CELLS = 2 ** 16
 
 
 def _first_at(values: list, floor: float) -> int:
@@ -312,12 +360,21 @@ def _sum_in_order(values) -> float:
     return total
 
 
+def _block_steps(width: int) -> int:
+    """The largest power of two B <= _BLOCK_STEPS with B (B (width - 1) + 1) <= _BLOCK_CELLS, or 1."""
+    b = _BLOCK_STEPS
+    while b > 1 and b * (b * (width - 1) + 1) > _BLOCK_CELLS:
+        b //= 2
+    return b
+
+
 class RunningConvolution:
     """Law of S_n updated one summand at a time, in index space.
 
     Maintains a dense window trimmed at ``floor``; trimmed mass is tracked in
     ``lost_mass`` (bounded by floor * window * steps, i.e. negligible).  Used
-    by estimators that need P(S_n = k) for every n up to a horizon.
+    by estimators that need P(S_n = k) for every n up to a horizon: ``step``
+    takes one summand, ``advance`` up to ``block`` of them at once.
     """
 
     def __init__(self, p: LatticePmf, floor: float = 1e-30):
@@ -328,13 +385,64 @@ class RunningConvolution:
         self.offset = 0
         self.probs = np.array([1.0])
         self.lost_mass = 0.0
+        self.block = _block_steps(len(p.dense))
+        self._powers = None  # row j-1: p^{*j} reversed and zero-padded, built by advance
 
     def step(self) -> None:
-        probs = np.convolve(self.probs, self._base)
         self.offset += self._base_off
         self.n += 1
-        # trim the edges below the floor; atoms inside stay whatever their size,
-        # and a window with no atom at the floor is kept whole
+        self._trim(np.convolve(self.probs, self._base))
+
+    def advance(self, targets) -> np.ndarray:
+        """Take r = len(targets) <= ``block`` steps; return P{S_{n+j} = targets[j-1]}, j = 1..r.
+
+        Each mass is one dot product of the window with the reversed power
+        p^{*j}.  The window then moves by p^{*r} in one direct convolution (FFT
+        noise would keep atoms near 1e-17 that the floor should drop) and is
+        trimmed at the floor only there: atoms below the floor at the steps
+        inside a block are kept until its end.
+        """
+        targets = np.asarray(targets, dtype=np.int64)
+        r = len(targets)
+        if not 1 <= r <= self.block:
+            raise PreconditionError(f"advance takes 1..{self.block} steps, not {r}")
+        powers = self._power_table()
+        width = powers.shape[1]
+        size = len(self.probs)
+        # k: index of target j in the window convolved with p^{*j}; padded[k: k + width]
+        # lines the window up with the reversed power
+        k = targets - self.offset - self._base_off * np.arange(1, r + 1)
+        padded = np.zeros(size + 2 * (width - 1))
+        padded[width - 1: width - 1 + size] = self.probs
+        inside = np.flatnonzero((k >= 0) & (k <= size + width - 2))
+        out = np.zeros(r)
+        rows = np.lib.stride_tricks.sliding_window_view(padded, width)[k[inside]]
+        out[inside] = np.einsum("ij,ij->i", rows, powers[inside])
+        self.offset += r * self._base_off
+        self.n += r
+        power = powers[r - 1, ::-1][: r * (len(self._base) - 1) + 1]  # p^{*r}, unpadded
+        self._trim(np.convolve(self.probs, power))
+        return out
+
+    def _power_table(self) -> np.ndarray:
+        # convolved in long double and rounded once: a float64 power rounds at every one
+        # of its j - 1 products, and each block repeats that error
+        if self._powers is None:
+            b, w = self.block, len(self._base)
+            table = np.zeros((b, b * (w - 1) + 1), dtype=np.longdouble)
+            base = power = self._base.astype(np.longdouble)
+            for j in range(b):
+                table[j, : len(power)] = power
+                power = np.convolve(power, base)
+            self._powers = np.ascontiguousarray(table[:, ::-1], dtype=np.float64)
+        return self._powers
+
+    def _trim(self, probs: np.ndarray) -> None:
+        """Keep probs as the window, its edges below the floor cut off into ``lost_mass``.
+
+        Atoms inside stay whatever their size, and a window with no atom at
+        the floor is kept whole.
+        """
         size, floor = len(probs), self.floor
         left, right = probs[:_EDGE].tolist(), probs[:-_EDGE - 1:-1].tolist()  # from outside in
         lo, cut = _first_at(left, floor), _first_at(right, floor)

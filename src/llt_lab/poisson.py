@@ -46,8 +46,8 @@ def _as_array(law) -> np.ndarray:
             raise ResourceLimitError(f"dense window of {off + len(dense)} entries exceeds budget")
         return np.concatenate((np.zeros(off), dense))
     arr = np.asarray(law, dtype=np.float64)
-    if arr.ndim != 1 or np.any(arr < -1e-15):
-        raise PreconditionError("law must be a 1-d nonnegative mass vector")
+    if arr.ndim != 1 or not np.all((arr >= -1e-15) & (arr < np.inf)):  # NaN fails too
+        raise PreconditionError("law must be a 1-d finite nonnegative mass vector")
     return arr
 
 

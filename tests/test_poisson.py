@@ -269,3 +269,15 @@ def test_a_law_far_from_zero_fails_the_budget_before_it_is_padded(monkeypatch):
     for value in (1000, 2e6):
         with pytest.raises(ResourceLimitError):
             ps.tv_distance(point_mass(value), [1.0])
+
+
+def test_non_finite_masses_are_rejected():
+    for bad in ([math.nan, 1.0], [math.inf, 0.0], [0.5, -math.inf]):
+        with pytest.raises(PreconditionError, match="finite nonnegative"):
+            ps.tv_distance(bad, [1.0])
+        with pytest.raises(PreconditionError, match="finite nonnegative"):
+            ps.d0_distance([1.0], bad)
+        with pytest.raises(PreconditionError, match="finite nonnegative"):
+            ps.franken_bound([[0.5, 0.5], bad])
+    # a rounding-size negative mass is still let through
+    assert ps.tv_distance([1.0, -1e-16], [1.0]) == pytest.approx(0.5e-16)
