@@ -225,8 +225,8 @@ class _WeightedDP:
         self.hi = min(self.hi + a, self.top)
 
 
-#: _series_exp finds blocks of at most this many coefficients one at a time ...
-_EXP_LEAF = 32
+#: _series_exp solves blocks of at most this many coefficients as one triangular system ...
+_EXP_LEAF = 64
 #: ... and convolves directly while the block is at most this long
 _EXP_DIRECT = 128
 
@@ -237,17 +237,26 @@ def _series_exp(L: np.ndarray) -> np.ndarray:
     From z H' = (z L') H: m H_m = sum_{j=1..m} j L_j H_{m-j} with H_0 = 1.  The
     sums are split by divide and conquer: once H is known on [lo, mid), its
     share of the sums on [mid, hi) is one convolution, so the work is
-    O(M log^2 M).  L may have either sign, so the products are raw:
-    ``_fft_product``, not the clipped ``_convolve``.
+    O(M log^2 M).  A leaf block solves its equations
+    m H_m - sum_{lo <= i < m} G_{m-i} H_i = acc_m, G_j = j L_j, as one
+    lower-triangular system, whose part below the diagonal depends only on
+    m - i.  L may have either sign, so the products are raw: ``_fft_product``,
+    not the clipped ``_convolve``.
     """
     M = len(L)
     G = np.arange(M) * L  # j L_j
     H, acc = np.zeros(M), np.zeros(M)  # acc[m]: the part of m H_m from blocks already solved
+    acc[:1] = 1.0  # with the diagonal 1 at m = 0, the equation H_0 = 1
+    d = np.subtract.outer(np.arange(min(M, _EXP_LEAF)), np.arange(min(M, _EXP_LEAF)))
+    below = np.where(d > 0, -G[np.maximum(d, 0)], 0.0)
 
     def solve(lo: int, hi: int) -> None:
         if hi - lo <= _EXP_LEAF:
-            for m in range(max(lo, 1), hi):
-                H[m] = (acc[m] + np.dot(G[m - lo:0:-1], H[lo:m])) / m
+            # reversed, the system is upper triangular: LU's pivot search finds no larger
+            # entry below the diagonal, so solve does a plain back substitution
+            system = below[hi - lo - 1::-1, hi - lo - 1::-1].copy()
+            np.fill_diagonal(system, np.maximum(np.arange(hi - 1, lo - 1, -1), 1))
+            H[lo:hi] = np.linalg.solve(system, acc[lo:hi][::-1])[::-1]
             return
         mid = (lo + hi) // 2
         solve(lo, mid)
@@ -256,7 +265,6 @@ def _series_exp(L: np.ndarray) -> np.ndarray:
         acc[mid:hi] += prod[mid - lo: hi - lo]
         solve(mid, hi)
 
-    H[:1] = 1.0
     solve(0, M)
     return H
 
@@ -391,7 +399,7 @@ class RunningConvolution:
     def step(self) -> None:
         self.offset += self._base_off
         self.n += 1
-        self._trim(np.convolve(self.probs, self._base))
+        self._trim(self._moved(1))
 
     def advance(self, targets) -> np.ndarray:
         """Take r = len(targets) <= ``block`` steps; return P{S_{n+j} = targets[j-1]}, j = 1..r.
@@ -407,22 +415,30 @@ class RunningConvolution:
         if not 1 <= r <= self.block:
             raise PreconditionError(f"advance takes 1..{self.block} steps, not {r}")
         powers = self._power_table()
-        width = powers.shape[1]
         size = len(self.probs)
+        states = self.probs.size // size  # masses per index: one, or one per chain state
+        width = powers.shape[1] // states
         # k: index of target j in the window convolved with p^{*j}; padded[k: k + width]
         # lines the window up with the reversed power
         k = targets - self.offset - self._base_off * np.arange(1, r + 1)
-        padded = np.zeros(size + 2 * (width - 1))
+        padded = np.zeros((size + 2 * (width - 1),) + self.probs.shape[1:])
         padded[width - 1: width - 1 + size] = self.probs
         inside = np.flatnonzero((k >= 0) & (k <= size + width - 2))
         out = np.zeros(r)
-        rows = np.lib.stride_tricks.sliding_window_view(padded, width)[k[inside]]
-        out[inside] = np.einsum("ij,ij->i", rows, powers[inside])
+        # a window with a row of states is read flat, the states of an index side by side
+        rows = np.lib.stride_tricks.sliding_window_view(padded.reshape(-1), states * width)
+        out[inside] = np.einsum("ij,ij->i", rows[states * k[inside]], powers[inside])
         self.offset += r * self._base_off
         self.n += r
-        power = powers[r - 1, ::-1][: r * (len(self._base) - 1) + 1]  # p^{*r}, unpadded
-        self._trim(np.convolve(self.probs, power))
+        self._trim(self._moved(r))
         return out
+
+    def _moved(self, r: int) -> np.ndarray:
+        """The window after r more steps, before the trim: one direct convolution by p^{*r}."""
+        if r == 1:  # a single step needs no power table
+            return np.convolve(self.probs, self._base)
+        power = self._power_table()[r - 1, ::-1][: r * (len(self._base) - 1) + 1]  # unpadded
+        return np.convolve(self.probs, power)
 
     def _power_table(self) -> np.ndarray:
         # convolved in long double and rounded once: a float64 power rounds at every one
@@ -440,18 +456,20 @@ class RunningConvolution:
     def _trim(self, probs: np.ndarray) -> None:
         """Keep probs as the window, its edges below the floor cut off into ``lost_mass``.
 
-        Atoms inside stay whatever their size, and a window with no atom at
-        the floor is kept whole.
+        An index is tested by its mass, summed over the states for a window
+        with a row of states.  Indices inside stay whatever their mass, and a
+        window with no index at the floor is kept whole.
         """
-        size, floor = len(probs), self.floor
-        left, right = probs[:_EDGE].tolist(), probs[:-_EDGE - 1:-1].tolist()  # from outside in
+        mass = probs if probs.ndim == 1 else probs.sum(axis=1)
+        size, floor = len(mass), self.floor
+        left, right = mass[:_EDGE].tolist(), mass[:-_EDGE - 1:-1].tolist()  # from outside in
         lo, cut = _first_at(left, floor), _first_at(right, floor)
         if lo < len(left) and cut < len(right):
             # fewer than _EDGE atoms per edge, added left to right as numpy adds so few
             lost = _sum_in_order(left[:lo]) + _sum_in_order(right[:cut][::-1])
         else:
-            lo, cut = _scan_in(probs, floor), _scan_in(probs[::-1], floor)
-            lost = probs[:lo].sum() + probs[size - cut:].sum()
+            lo, cut = _scan_in(mass, floor), _scan_in(mass[::-1], floor)
+            lost = mass[:lo].sum() + mass[size - cut:].sum()
         if lo < size - cut and (lo > 0 or cut > 0):
             self.lost_mass += float(lost)
             probs = probs[lo:size - cut]
@@ -465,6 +483,61 @@ class RunningConvolution:
         return 0.0
 
 
+class TransferConvolution(RunningConvolution):
+    """Joint law of the number of ones among xi_1..xi_nu and the state xi_nu, on a 0/1 chain.
+
+    ``probs[i, s]`` = P(offset + i ones among xi_1..xi_nu, xi_nu = s), started
+    from a ``_visit_tables`` table and advanced like ``RunningConvolution``: the
+    same gather reads the masses of a block and the same trim, on the sum of a
+    row, cuts the edges below ``floor`` into ``lost_mass``.  The block moves
+    the window by the B-step transfer polynomials in four direct convolutions.
+    """
+
+    def __init__(self, P: np.ndarray, table: np.ndarray, nu: int, floor: float = 1e-30):
+        self._P = P
+        self.floor = floor
+        self.n = nu
+        self.offset = self._base_off = 0
+        self.probs = np.array(table, dtype=np.float64)
+        self.lost_mass = 0.0
+        self.block = _block_steps(2)
+        self._powers = self._steps = None  # built by the first step or block
+
+    def _moved(self, r: int) -> np.ndarray:
+        """The window after r more steps: new[:, t] = sum_s window[:, s] * T_r[s, t]."""
+        self._power_table()
+        steps = self._steps[r - 1, :, :, : r + 1]
+        cols = [np.ascontiguousarray(self.probs[:, s]) for s in (0, 1)]
+        out = np.empty((len(self.probs) + r, 2))
+        for t in (0, 1):
+            out[:, t] = np.convolve(cols[0], steps[0, t])
+            out[:, t] += np.convolve(cols[1], steps[1, t])
+        return out
+
+    def _power_table(self) -> np.ndarray:
+        # T[j-1, s, t] is the j-step transfer polynomial: coefficient d is P(d ones among the
+        # next j states, the last one t | the current state s).  Built and rounded like
+        # RunningConvolution's powers; a row of the gather table is sum_t T_j[s, t], states
+        # side by side.
+        if self._powers is None:
+            b, P = self.block, self._P.astype(np.longdouble)
+            T = np.zeros((b, 2, 2, b + 1), dtype=np.longdouble)
+            T[0, :, 0, 0], T[0, :, 1, 1] = P[:, 0], P[:, 1]
+            for j in range(1, b):
+                T[j, :, 0] = T[j - 1, :, 0] * P[0, 0] + T[j - 1, :, 1] * P[1, 0]
+                T[j, :, 1, 1:] = T[j - 1, :, 0, :-1] * P[0, 1] + T[j - 1, :, 1, :-1] * P[1, 1]
+            self._steps = T.astype(np.float64)
+            gather = T.sum(axis=2)[:, :, ::-1].transpose(0, 2, 1)  # (j, reversed degree, s)
+            self._powers = np.ascontiguousarray(gather, dtype=np.float64).reshape(b, -1)
+        return self._powers
+
+    def prob(self, index: int) -> float:
+        i = index - self.offset
+        if 0 <= i < len(self.probs):
+            return float(self.probs[i].sum())
+        return 0.0
+
+
 def _visit_tables(P: np.ndarray, start: tuple[float, float], N: int):
     """table[j, s] = P(j ones among xi_1..xi_nu, xi_nu = s) for nu = 1..N, on a 0/1 chain.
 
@@ -472,6 +545,8 @@ def _visit_tables(P: np.ndarray, start: tuple[float, float], N: int):
     is a view of rows 0..nu of one preallocated table, which the next step
     overwrites in place; table[0, 1] and the rows not yet reached stay 0.
     """
+    if 2 * (max(N, 1) + 1) > MAX_WINDOW:
+        raise ResourceLimitError(f"a transfer table of {N} + 1 rows exceeds memory budget")
     table = np.zeros((max(N, 1) + 1, 2))
     table[0, 0], table[1, 1] = start
     yield table[:2]

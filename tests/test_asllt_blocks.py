@@ -369,3 +369,20 @@ def test_dickman_strong_llt_is_bit_identical_to_the_full_range_sum():
         rho = asl.dickman_rho(u_max=u_max)
         for n in (2, 3, 10, 60, 200, 1000):
             assert asl.dickman_strong_llt(n, rho).hex() == _ref_strong(n, rho).hex(), (u_max, n)
+
+
+def test_dickman_strong_llt_stops_at_the_cap_bit_for_bit():
+    # the law is stepped to max(ceil(n u_max), 30 n) = 30 n only (u_max <= 30 here); the
+    # masses it leaves out total beyond_mass, too little to move the sum
+    for n in (1600, 3000):
+        full, capped = asl.dickman_sum_law(n), asl.dickman_sum_law(n, max_value=30 * n)
+        assert capped.beyond_mass < 1e-45, n
+        assert capped.dense.tobytes() == full.dense[: len(capped.dense)].tobytes()
+        for u_max in (4.0, 8.0, 20.0):
+            rho = asl.dickman_rho(u_max=u_max)
+            kappa = np.arange(0, max(len(full.dense) - 1, int(math.ceil(n * rho.u_max))) + 1)
+            probs = np.zeros(len(kappa))
+            probs[: len(full.dense)] = full.dense
+            limit = math.exp(-EULER_GAMMA) / n * rho(kappa / n)
+            want = float(np.abs(probs - limit).sum())
+            assert asl.dickman_strong_llt(n, rho).hex() == want.hex(), (n, u_max)

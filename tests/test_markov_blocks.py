@@ -1,0 +1,196 @@
+"""The Markov expectation mode in blocks, against the one-step transfer table and Gabriel's formula.
+
+Up to nu = 2048 ``markov_asllt_expectation`` reads the untrimmed transfer
+table one step at a time, bit for bit as before; past that
+``TransferConvolution`` advances 128 steps per call on a window trimmed at
+1e-30.  The independent oracle is Gabriel's closed form for the number of
+successes in a two-state chain (K. R. Gabriel, Biometrika 46, 1959), summed
+over the number of runs of ones with exact integer run counts.
+"""
+
+import math
+from decimal import Decimal, localcontext
+
+import numpy as np
+import pytest
+
+from llt_lab import asllt as asl
+from llt_lab.errors import ResourceLimitError
+from llt_lab.exact import TransferConvolution, _visit_tables
+
+RTOL = 1e-13
+CHAINS = [(0.4, 0.5), (0.15, 0.85), (0.9, 0.05)]
+
+
+def _decimal(c: int, two: Decimal) -> Decimal:
+    """The integer c rounded to the context's precision, from its top 256 bits."""
+    s = max(c.bit_length() - 256, 0)
+    return Decimal(c >> s) * two ** s
+
+
+def _binomial_row(n: int, two: Decimal) -> list:
+    """C(n, j) for j = 0..n, computed as exact integers and rounded to Decimals."""
+    row, c = [], 1
+    for j in range(n + 1):
+        row.append(_decimal(c, two))
+        c = c * (n - j) // (j + 1)
+    return row
+
+
+def _gabriel_pmf(chain, nu, ks):
+    """P(k ones among xi_1..xi_nu) for each k in ks, by Gabriel's run decomposition.
+
+    A path with k ones (0 < k < nu) that starts in a and ends in b has r runs
+    of ones and r0 = r + 1 - a - b runs of zeros: C(k-1, r-1) C(nu-k-1, r0-1)
+    such paths, each with r - a moves 0 -> 1, r0 - 1 + a moves 1 -> 0, k - r
+    moves 1 -> 1 and nu - k - r0 moves 0 -> 0.  The chain's float parameters
+    enter exactly and the sum runs in 40 digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        two = Decimal(2)
+        (p00, p01), (p10, p11) = [[Decimal(x) for x in row] for row in chain.transition().tolist()]
+        pi = [Decimal(x) for x in chain.pi]
+        powers = []
+        for p in (p00, p01, p10, p11):
+            q = [Decimal(1)]
+            for _ in range(nu):
+                q.append(q[-1] * p)
+            powers.append(q)
+        q00, q01, q10, q11 = powers
+        out = []
+        for k in ks:
+            if k in (0, nu):
+                out.append(float(pi[0] * q00[nu - 1] if k == 0 else pi[1] * q11[nu - 1]))
+                continue
+            ones, zeros = _binomial_row(k - 1, two), _binomial_row(nu - k - 1, two)
+            total = Decimal(0)
+            for a in (0, 1):
+                for b in (0, 1):
+                    for r in range(1, k + 1):
+                        r0 = r + 1 - a - b
+                        if 1 <= r0 <= nu - k:
+                            total += (ones[r - 1] * zeros[r0 - 1] * pi[a] * q00[nu - k - r0]
+                                      * q01[r - a] * q10[r0 - 1 + a] * q11[k - r])
+            out.append(float(total))
+    return np.array(out)
+
+
+def _spread(pmf, floor, count=20):
+    """About count atoms spread evenly over those of mass above floor, both ends included."""
+    above = np.flatnonzero(pmf > floor)
+    return np.unique(np.linspace(above[0], above[-1], count).round().astype(np.int64))
+
+
+def _table_masses(chain, targets):
+    """P{t_nu ones among xi_1..xi_nu} from the untrimmed table, one step per nu."""
+    m = np.zeros(len(targets))
+    for i, table in enumerate(_visit_tables(chain.transition(), chain.pi, len(targets))):
+        if 0 <= targets[i] < table.shape[0]:
+            m[i] = table[targets[i]].sum()
+    return m
+
+
+def _kappa_targets(chain, kappa, N):
+    return asl.markov_kappa_indices(chain, kappa, np.arange(1, N + 1))
+
+
+def test_gabriel_formula_against_enumeration():
+    chain = asl.TwoStateChain(0.3, 0.6)
+    P, nu = chain.transition(), 7
+    dist = np.zeros(nu + 1)
+    for bits in range(1 << nu):
+        states = [(bits >> i) & 1 for i in range(nu)]
+        prob = chain.pi[states[0]]
+        for a, b in zip(states, states[1:]):
+            prob *= P[a, b]
+        dist[sum(states)] += prob
+    assert np.allclose(_gabriel_pmf(chain, nu, range(nu + 1)), dist, rtol=1e-14, atol=0.0)
+
+
+def test_markov_ones_pmf_matches_gabriel_at_nu_5000():
+    chain, nu = asl.TwoStateChain(0.4, 0.5), 5000
+    pmf = asl.markov_ones_pmf(chain, nu)
+    ks = _spread(pmf, 1e-200)
+    assert len(ks) >= 19 and pmf[ks[0]] < 1e-190 and pmf[ks[-1]] < 1e-190
+    want = _gabriel_pmf(chain, nu, ks.tolist())
+    assert np.max(np.abs(pmf[ks] - want) / want) < 1e-12
+
+
+@pytest.mark.parametrize("nu, floor", [(2049, 1e-200), (5000, 1e-15)])
+def test_blocked_hit_masses_match_gabriel(nu, floor):
+    # at nu = 2049 the first block reads the untrimmed table.  Later blocks start from a
+    # window trimmed at 1e-30, so an atom a few orders above that floor misses the trimmed
+    # mass's share (3e-11 relative at 1e-20 when nu = 5000); the kappa targets sit in the bulk.
+    chain = asl.TwoStateChain(0.4, 0.5)
+    ks = _spread(asl.markov_ones_pmf(chain, nu), floor)
+    want = _gabriel_pmf(chain, nu, ks.tolist())
+    got = []
+    for k in ks.tolist():
+        targets = np.zeros(nu, dtype=np.int64)
+        targets[-1] = k
+        got.append(asl._markov_hit_masses(chain, targets)[-1])
+    assert np.max(np.abs(np.array(got) - want) / want) < 1e-12
+
+
+@pytest.mark.parametrize("p01, p10, kappa", [c + (k,) for c, k in zip(CHAINS, (0.0, 1.3, -0.7))])
+def test_blocked_masses_match_the_one_step_table(p01, p10, kappa):
+    chain, B = asl.TwoStateChain(p01, p10), 128
+    targets = _kappa_targets(chain, kappa, 10_000)
+    want_all = _table_masses(chain, targets)
+    assert want_all.min() > 1e-20  # the kappa targets sit in the bulk
+    for N in (2049, 2048 + 3 * B - 1, 2048 + 3 * B + 1, 10_000):
+        got, want = asl._markov_hit_masses(chain, targets[:N]), want_all[:N]
+        assert got[:2048].tobytes() == want[:2048].tobytes(), N
+        assert np.max(np.abs(got - want) / want) < RTOL, N
+
+
+@pytest.mark.parametrize("p01, p10", CHAINS)
+def test_expectation_up_to_2048_is_the_one_step_table(p01, p10):
+    # N <= 2048 runs only the one-step loop, so the masses at N = 2048 cover every prefix
+    chain = asl.TwoStateChain(p01, p10)
+    targets = _kappa_targets(chain, 0.3, 2048)
+    m = _table_masses(chain, targets)
+    assert asl._markov_hit_masses(chain, targets).tobytes() == m.tobytes()
+    sigma = math.sqrt(chain.sigma2)
+    for N in (2, 3, 100, 2047, 2048):
+        nu = np.arange(1, N + 1)
+        want = asl._log_average(m[:N] * sigma / np.sqrt(nu), N)[-1][1]
+        assert asl.markov_asllt_expectation(chain, 0.3, N) == want, (p01, p10, N)
+
+
+def test_trimmed_mass_at_1e5_is_below_1e_25():
+    chain, N = asl.TwoStateChain(0.4, 0.5), 100_000
+    P = chain.transition()
+    *_, table = _visit_tables(P, chain.pi, 2048)
+    run = TransferConvolution(P, table, 2048)
+    targets = _kappa_targets(chain, 0.0, N)
+    for lo in range(2048, N, run.block):
+        run.advance(targets[lo: lo + run.block])
+    assert run.n == N
+    assert 0.0 < run.lost_mass <= 1e-25
+    assert abs(run.probs.sum() + run.lost_mass - 1.0) < 1e-12
+    assert run.probs.sum(axis=1)[[0, -1]].min() >= run.floor
+
+
+def test_transfer_steps_against_the_table():
+    chain = asl.TwoStateChain(0.15, 0.85)
+    P = chain.transition()
+    *_, table = _visit_tables(P, chain.pi, 1)
+    run = TransferConvolution(P, table, 1)
+    for nu, want in enumerate(_visit_tables(P, chain.pi, 1000), 1):
+        if nu > 1:
+            run.step()
+        assert run.n == nu
+        # rows near the trimmed edges miss the trimmed rows' share; the bulk does not
+        ones = want.sum(axis=1)
+        bulk = np.flatnonzero(ones > 1e-15)
+        got = np.array([run.prob(k) for k in bulk.tolist()])
+        assert np.max(np.abs(got - ones[bulk]) / ones[bulk]) < RTOL, nu
+    assert run.prob(run.offset - 1) == 0.0 and run.prob(run.offset + len(run.probs)) == 0.0
+    assert run.offset > 0 and run.lost_mass > 0.0
+
+
+def test_markov_ones_pmf_of_a_huge_horizon_is_a_resource_error():
+    with pytest.raises(ResourceLimitError):
+        asl.markov_ones_pmf(asl.TwoStateChain(0.4, 0.5), 10 ** 9)
