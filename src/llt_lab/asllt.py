@@ -300,7 +300,12 @@ def hit_mass_sequence(p: LatticePmf, a_index, N: int) -> np.ndarray:
     for k, target in enumerate(targets[:_STEPWISE].tolist()):
         run.step()
         out[k] = run.prob(target)
-    for lo in range(_STEPWISE, N, run.block):
+    return _fill_in_blocks(run, targets, out)
+
+
+def _fill_in_blocks(run: RunningConvolution, targets, out: np.ndarray) -> np.ndarray:
+    """out[k] = P{index = targets[k] after step k + 1} for k >= run.n, ``run.block`` at a time."""
+    for lo in range(run.n, len(out), run.block):
         out[lo: lo + run.block] = run.advance(targets[lo: lo + run.block])
     return out
 
@@ -535,11 +540,7 @@ def _markov_hit_masses(chain: TwoStateChain, targets: np.ndarray) -> np.ndarray:
                                        _visit_tables(P, chain.pi, min(N, _STEPWISE)))):
         if 0 <= t < table.shape[0]:
             m[i] = table[t].sum()
-    if N > _STEPWISE:
-        run = TransferConvolution(P, table, _STEPWISE)
-        for lo in range(_STEPWISE, N, run.block):
-            m[lo: lo + run.block] = run.advance(targets[lo: lo + run.block])
-    return m
+    return _fill_in_blocks(TransferConvolution(P, table, min(N, _STEPWISE)), targets, m)
 
 
 def markov_asllt_expectation(chain: TwoStateChain, kappa: float, N: int) -> float:
@@ -682,12 +683,14 @@ def dickman_strong_llt(n: int, rho: DickmanRho) -> float:
     terms left out are the masses there, which total the capped table's
     ``beyond_mass``: at most 3e-51 for n <= 3000, far below the last bit of
     the sum (0.0031 at n = 1000).  The terms up to the cap are those of the
-    full law.
+    full law.  A sum past ``MAX_WINDOW`` terms (n >= 11585) raises at once.
     """
     _require_horizon(n, 2)
     edge = int(math.ceil(n * rho.u_max))
-    law = dickman_sum_law(n, max_value=max(edge, 30 * n))
     hi = max(n * (n + 1) // 2, edge)
+    if hi + 1 > MAX_WINDOW:  # the gap array below, before the DP
+        raise ResourceLimitError(f"a gap array of {hi + 1} entries exceeds memory budget")
+    law = dickman_sum_law(n, max_value=max(edge, 30 * n))
     # past the last positive atom and past n u_max both terms are 0.0: the gaps are evaluated
     # up to there, and the zeros up to hi keep the pairwise grouping of the full-range sum
     top = max(law.offset + int(np.flatnonzero(law.dense)[-1]), edge)

@@ -352,14 +352,6 @@ _BLOCK_STEPS = 128
 _BLOCK_CELLS = 2 ** 16
 
 
-def _first_at(values: list, floor: float) -> int:
-    """Index of the first of values at or above floor, len(values) if none."""
-    for i, v in enumerate(values):
-        if v >= floor:
-            return i
-    return len(values)
-
-
 def _sum_in_order(values) -> float:
     """values added strictly left to right (from Python 3.12 builtin sum compensates)."""
     total = 0.0
@@ -376,166 +368,163 @@ def _block_steps(width: int) -> int:
     return b
 
 
-class RunningConvolution:
-    """Law of S_n updated one summand at a time, in index space.
+def _correlate(a: np.ndarray, v_rev: np.ndarray) -> np.ndarray:
+    """np.convolve(a, v) for v = v_rev[::-1], bit for bit, without np.convolve's argument checks."""
+    if len(a) < len(v_rev):  # np.convolve slides the shorter array along the longer one
+        return np.correlate(v_rev[::-1], a[::-1], "full")
+    return np.correlate(a, v_rev, "full")
 
-    Maintains a dense window trimmed at ``floor``; trimmed mass is tracked in
-    ``lost_mass`` (bounded by floor * window * steps, i.e. negligible).  Used
-    by estimators that need P(S_n = k) for every n up to a horizon: ``step``
-    takes one summand, ``advance`` up to ``block`` of them at once.
+
+def _into(T_rev: np.ndarray) -> list:
+    """[[T_rev[s, t] for each state s] for each state t]: reversed polynomials into t."""
+    S = len(T_rev)
+    return [[T_rev[s, t] for s in range(S)] for t in range(S)]
+
+
+def _column(cols, polys: list) -> np.ndarray:
+    """sum_s cols[s] * polys[s] for reversed polynomials, added in state order."""
+    col = _correlate(cols[0], polys[0])
+    for s in range(1, len(cols)):
+        col += _correlate(cols[s], polys[s])
+    return col
+
+
+class RunningConvolution:
+    """Law of S_n, or the joint law of S_n and a chain's state, updated in index space.
+
+    ``probs[i, s]`` = P(S_n = offset + i, state s).  A step moves the window by
+    a matrix of step polynomials, new[:, t] = sum_s window[:, s] T1[s, t], where
+    coefficient d of T1[s, t] is the probability of a step from s into t that
+    moves the index by ``shift + d``; an i.i.d. sum is the one-state case
+    T1 = [[p]].  The window is kept as one column per state, and its edge
+    indices below ``floor`` are trimmed into ``lost_mass``.  ``step`` takes one
+    summand, ``advance`` up to ``block`` of them at once.
     """
 
     def __init__(self, p: LatticePmf, floor: float = 1e-30):
-        self._base = p.dense
-        self._base_off = p.offset
-        self.floor = floor
-        self.n = 0
-        self.offset = 0
-        self.probs = np.array([1.0])
-        self.lost_mass = 0.0
-        self.block = _block_steps(len(p.dense))
-        self._powers = None  # row j-1: p^{*j} reversed and zero-padded, built by advance
+        self._start(p.dense[None, None], p.offset, np.ones((1, 1)), 0, floor)
+
+    def _start(self, T1: np.ndarray, shift: int, window: np.ndarray, n: int, floor: float) -> None:
+        self._T1, self._T1_into, self._shift = T1, _into(T1[:, :, ::-1].copy()), shift
+        self.floor, self.n, self.offset, self.lost_mass = floor, n, 0, 0.0
+        self._cols = [np.array(window[:, s], dtype=np.float64) for s in range(len(T1))]
+        self._mass = sum(self._cols[1:], self._cols[0])  # the mass of each index
+        self.block = _block_steps(T1.shape[2])
+        self._powers = self._steps = None  # built by the first block
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The window, shape (index, state)."""
+        return np.stack(self._cols, axis=1)
 
     def step(self) -> None:
-        self.offset += self._base_off
+        self.offset += self._shift
         self.n += 1
         self._trim(self._moved(1))
 
     def advance(self, targets) -> np.ndarray:
         """Take r = len(targets) <= ``block`` steps; return P{S_{n+j} = targets[j-1]}, j = 1..r.
 
-        Each mass is one dot product of the window with the reversed power
-        p^{*j}.  The window then moves by p^{*r} in one direct convolution (FFT
-        noise would keep atoms near 1e-17 that the floor should drop) and is
-        trimmed at the floor only there: atoms below the floor at the steps
-        inside a block are kept until its end.
+        Each mass is one dot product of the window, read flat with the states
+        of an index side by side, with the reversed row sums of T_j.  The
+        window then moves by T_r in direct convolutions (FFT noise would keep
+        atoms near 1e-17 that the floor should drop) and is trimmed only then.
         """
         targets = np.asarray(targets, dtype=np.int64)
         r = len(targets)
         if not 1 <= r <= self.block:
             raise PreconditionError(f"advance takes 1..{self.block} steps, not {r}")
         powers = self._power_table()
-        size = len(self.probs)
-        states = self.probs.size // size  # masses per index: one, or one per chain state
+        states, size = len(self._cols), len(self._mass)
         width = powers.shape[1] // states
-        # k: index of target j in the window convolved with p^{*j}; padded[k: k + width]
-        # lines the window up with the reversed power
-        k = targets - self.offset - self._base_off * np.arange(1, r + 1)
-        padded = np.zeros((size + 2 * (width - 1),) + self.probs.shape[1:])
-        padded[width - 1: width - 1 + size] = self.probs
+        # k: index of target j in the window moved by T_j; padded[k: k + width] lines the
+        # window up with the reversed polynomials
+        k = targets - self.offset - self._shift * np.arange(1, r + 1)
+        padded = np.zeros((size + 2 * (width - 1), states))
+        for s, col in enumerate(self._cols):
+            padded[width - 1: width - 1 + size, s] = col
         inside = np.flatnonzero((k >= 0) & (k <= size + width - 2))
         out = np.zeros(r)
-        # a window with a row of states is read flat, the states of an index side by side
         rows = np.lib.stride_tricks.sliding_window_view(padded.reshape(-1), states * width)
         out[inside] = np.einsum("ij,ij->i", rows[states * k[inside]], powers[inside])
-        self.offset += r * self._base_off
+        self.offset += r * self._shift
         self.n += r
         self._trim(self._moved(r))
         return out
 
-    def _moved(self, r: int) -> np.ndarray:
-        """The window after r more steps, before the trim: one direct convolution by p^{*r}."""
-        if r == 1:  # a single step needs no power table
-            return np.convolve(self.probs, self._base)
-        power = self._power_table()[r - 1, ::-1][: r * (len(self._base) - 1) + 1]  # unpadded
-        return np.convolve(self.probs, power)
+    def _moved(self, r: int) -> list:
+        """The window's columns after r more steps, untrimmed: sum_s window[:, s] T_r[s, t]."""
+        into = self._steps[r - 1] if r > 1 else self._T1_into  # a step needs no power table
+        return [_column(self._cols, polys) for polys in into]
 
     def _power_table(self) -> np.ndarray:
-        # convolved in long double and rounded once: a float64 power rounds at every one
-        # of its j - 1 products, and each block repeats that error
+        # T_j = T_{j-1} T1, built in long double and rounded once: _steps[j - 1] is _into(T_j
+        # reversed), and row j - 1 of the gather table is sum_t T_j[s, t], reversed, the states
+        # of a degree side by side.  The 1e-13 agreement with the one-step loops needs the 80-bit
+        # long double of x86-64; where it is float64 (MSVC, macOS on arm64), Bernoulli(0.2) at
+        # N = 8e4 is 2.3e-13 off, as float64 powers round at each of their j - 1 products.
         if self._powers is None:
-            b, w = self.block, len(self._base)
-            table = np.zeros((b, b * (w - 1) + 1), dtype=np.longdouble)
-            base = power = self._base.astype(np.longdouble)
-            for j in range(b):
-                table[j, : len(power)] = power
-                power = np.convolve(power, base)
-            self._powers = np.ascontiguousarray(table[:, ::-1], dtype=np.float64)
+            b, (S, _, w) = self.block, self._T1.shape
+            T = np.zeros((b, S, S, b * (w - 1) + 1), dtype=np.longdouble)
+            T[0, :, :, :w] = self._T1
+            into = _into(T[0, :, :, w - 1::-1])
+            for j in range(1, b):
+                size = j * (w - 1) + 1
+                for s in range(S):
+                    for t, polys in enumerate(into):
+                        T[j, s, t, : size + w - 1] = _column(T[j - 1, s, :, :size], polys)
+            rev = T[:, :, :, ::-1].astype(np.float64)  # T_j is the last j (w - 1) + 1 entries
+            self._steps = [_into(rev[j, :, :, -(j + 1) * (w - 1) - 1:]) for j in range(b)]
+            gather = sum([T[:, :, t] for t in range(1, S)], T[:, :, 0])  # (j, s, degree)
+            gather = gather[:, :, ::-1].transpose(0, 2, 1)  # (j, reversed degree, s)
+            self._powers = np.ascontiguousarray(gather, dtype=np.float64).reshape(b, -1)
         return self._powers
 
-    def _trim(self, probs: np.ndarray) -> None:
-        """Keep probs as the window, its edges below the floor cut off into ``lost_mass``.
+    def _trim(self, cols: list) -> None:
+        """Keep cols as the window, its edge indices below the floor cut off into ``lost_mass``.
 
-        An index is tested by its mass, summed over the states for a window
-        with a row of states.  Indices inside stay whatever their mass, and a
-        window with no index at the floor is kept whole.
+        An index is tested by its mass summed over the states.  Indices inside stay
+        whatever their mass; a window with no index at the floor is kept whole.
         """
-        mass = probs if probs.ndim == 1 else probs.sum(axis=1)
+        mass = sum(cols[1:], cols[0])
         size, floor = len(mass), self.floor
-        left, right = mass[:_EDGE].tolist(), mass[:-_EDGE - 1:-1].tolist()  # from outside in
-        lo, cut = _first_at(left, floor), _first_at(right, floor)
-        if lo < len(left) and cut < len(right):
-            # fewer than _EDGE atoms per edge, added left to right as numpy adds so few
-            lost = _sum_in_order(left[:lo]) + _sum_in_order(right[:cut][::-1])
+        # up to _EDGE atoms per edge are read one by one, from outside in; fewer than _EDGE
+        # are added left to right, as numpy adds so few
+        edge, lo, cut, left, right = min(size, _EDGE), 0, 0, 0.0, []
+        while lo < edge and (v := mass.item(lo)) < floor:
+            left += v
+            lo += 1
+        while cut < edge and (v := mass.item(-1 - cut)) < floor:
+            right.append(v)
+            cut += 1
+        if lo < edge and cut < edge:
+            lost = left + _sum_in_order(reversed(right))
         else:
             lo, cut = _scan_in(mass, floor), _scan_in(mass[::-1], floor)
             lost = mass[:lo].sum() + mass[size - cut:].sum()
         if lo < size - cut and (lo > 0 or cut > 0):
             self.lost_mass += float(lost)
-            probs = probs[lo:size - cut]
+            cols, mass = [c[lo:size - cut] for c in cols], mass[lo:size - cut]
             self.offset += lo
-        self.probs = probs
+        self._cols, self._mass = cols, mass
 
     def prob(self, index: int) -> float:
+        """P(S_n = index), summed over the states."""
         i = index - self.offset
-        if 0 <= i < len(self.probs):
-            return float(self.probs[i])
+        if 0 <= i < len(self._mass):
+            return float(self._mass[i])
         return 0.0
 
 
 class TransferConvolution(RunningConvolution):
     """Joint law of the number of ones among xi_1..xi_nu and the state xi_nu, on a 0/1 chain.
 
-    ``probs[i, s]`` = P(offset + i ones among xi_1..xi_nu, xi_nu = s), started
-    from a ``_visit_tables`` table and advanced like ``RunningConvolution``: the
-    same gather reads the masses of a block and the same trim, on the sum of a
-    row, cuts the edges below ``floor`` into ``lost_mass``.  The block moves
-    the window by the B-step transfer polynomials in four direct convolutions.
+    The two-state ``RunningConvolution``, started from a ``_visit_tables`` table
+    at nu: a step into state t adds t ones, so T1[s, t] = P[s, t] z^t.
     """
 
     def __init__(self, P: np.ndarray, table: np.ndarray, nu: int, floor: float = 1e-30):
-        self._P = P
-        self.floor = floor
-        self.n = nu
-        self.offset = self._base_off = 0
-        self.probs = np.array(table, dtype=np.float64)
-        self.lost_mass = 0.0
-        self.block = _block_steps(2)
-        self._powers = self._steps = None  # built by the first step or block
-
-    def _moved(self, r: int) -> np.ndarray:
-        """The window after r more steps: new[:, t] = sum_s window[:, s] * T_r[s, t]."""
-        self._power_table()
-        steps = self._steps[r - 1, :, :, : r + 1]
-        cols = [np.ascontiguousarray(self.probs[:, s]) for s in (0, 1)]
-        out = np.empty((len(self.probs) + r, 2))
-        for t in (0, 1):
-            out[:, t] = np.convolve(cols[0], steps[0, t])
-            out[:, t] += np.convolve(cols[1], steps[1, t])
-        return out
-
-    def _power_table(self) -> np.ndarray:
-        # T[j-1, s, t] is the j-step transfer polynomial: coefficient d is P(d ones among the
-        # next j states, the last one t | the current state s).  Built and rounded like
-        # RunningConvolution's powers; a row of the gather table is sum_t T_j[s, t], states
-        # side by side.
-        if self._powers is None:
-            b, P = self.block, self._P.astype(np.longdouble)
-            T = np.zeros((b, 2, 2, b + 1), dtype=np.longdouble)
-            T[0, :, 0, 0], T[0, :, 1, 1] = P[:, 0], P[:, 1]
-            for j in range(1, b):
-                T[j, :, 0] = T[j - 1, :, 0] * P[0, 0] + T[j - 1, :, 1] * P[1, 0]
-                T[j, :, 1, 1:] = T[j - 1, :, 0, :-1] * P[0, 1] + T[j - 1, :, 1, :-1] * P[1, 1]
-            self._steps = T.astype(np.float64)
-            gather = T.sum(axis=2)[:, :, ::-1].transpose(0, 2, 1)  # (j, reversed degree, s)
-            self._powers = np.ascontiguousarray(gather, dtype=np.float64).reshape(b, -1)
-        return self._powers
-
-    def prob(self, index: int) -> float:
-        i = index - self.offset
-        if 0 <= i < len(self.probs):
-            return float(self.probs[i].sum())
-        return 0.0
+        self._start(P[:, :, None] * np.eye(2), 0, table, nu, floor)  # T1[s, t, t] = P[s, t]
 
 
 def _visit_tables(P: np.ndarray, start: tuple[float, float], N: int):

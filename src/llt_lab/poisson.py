@@ -169,10 +169,16 @@ def franken_bound(laws: Sequence) -> float:
 def convolve_laws(laws: Sequence) -> np.ndarray:
     """Exact law of the independent sum of laws on nonnegative integers.
 
-    A left fold of ``exact._convolve`` from [1.0]: it drops nothing, returns a
-    fresh array, and like ``sum_law`` goes to FFT past the direct-size switch.
+    A left fold of ``exact._convolve`` from [1.0], each product checked against
+    ``MAX_WINDOW`` first: it drops nothing, returns a fresh array, and like
+    ``sum_law`` goes to FFT past the direct-size switch.
     """
-    return functools.reduce(_convolve, map(_as_array, laws), np.array([1.0]))
+    def product(law: np.ndarray, other: np.ndarray) -> np.ndarray:
+        if len(law) + len(other) - 1 > MAX_WINDOW:
+            raise ResourceLimitError(f"a law of {len(law) + len(other) - 1} entries exceeds budget")
+        return _convolve(law, other)
+
+    return functools.reduce(product, map(_as_array, laws), np.array([1.0]))
 
 
 def gap_table_csv(path, law, lam: float) -> None:

@@ -386,3 +386,28 @@ def test_dickman_strong_llt_stops_at_the_cap_bit_for_bit():
             limit = math.exp(-EULER_GAMMA) / n * rho(kappa / n)
             want = float(np.abs(probs - limit).sum())
             assert asl.dickman_strong_llt(n, rho).hex() == want.hex(), (n, u_max)
+
+
+def test_dickman_strong_llt_past_the_budget_raises_before_the_dp(monkeypatch):
+    from llt_lab.errors import ResourceLimitError
+
+    rho = asl.dickman_rho()
+
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the DP ran")
+
+    # n = 11,585 needs a gap array of n (n + 1) / 2 + 1 = 67,111,906 > 2^26 entries
+    monkeypatch.setattr(asl, "dickman_sum_law", no_dp)
+    with pytest.raises(ResourceLimitError):
+        asl.dickman_strong_llt(11_585, rho)
+
+
+def test_dickman_strong_llt_budget_boundary(monkeypatch):
+    from llt_lab.errors import ResourceLimitError
+
+    rho = asl.dickman_rho()
+    inside = asl.dickman_strong_llt(100, rho)
+    monkeypatch.setattr(asl, "MAX_WINDOW", 100 * 101 // 2 + 1)  # the gap array of n = 100
+    assert asl.dickman_strong_llt(100, rho).hex() == inside.hex()
+    with pytest.raises(ResourceLimitError):
+        asl.dickman_strong_llt(101, rho)

@@ -8,6 +8,7 @@ successes in a two-state chain (K. R. Gabriel, Biometrika 46, 1959), summed
 over the number of runs of ones with exact integer run counts.
 """
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -16,7 +17,7 @@ import pytest
 
 from llt_lab import asllt as asl
 from llt_lab.errors import ResourceLimitError
-from llt_lab.exact import TransferConvolution, _visit_tables
+from llt_lab.exact import RunningConvolution, TransferConvolution, _visit_tables
 
 RTOL = 1e-13
 CHAINS = [(0.4, 0.5), (0.15, 0.85), (0.9, 0.05)]
@@ -194,3 +195,42 @@ def test_transfer_steps_against_the_table():
 def test_markov_ones_pmf_of_a_huge_horizon_is_a_resource_error():
     with pytest.raises(ResourceLimitError):
         asl.markov_ones_pmf(asl.TwoStateChain(0.4, 0.5), 10 ** 9)
+
+
+class _ThreeStateSum(RunningConvolution):
+    """The kernel on a 3-state chain: S_nu = f(xi_1) + ... + f(xi_nu), started from xi_0 ~ pi."""
+
+    def __init__(self, P, f, pi):
+        T1 = np.zeros((3, 3, max(f) + 1))
+        for t, ft in enumerate(f):
+            T1[:, t, ft] = P[:, t]
+        self._start(T1, 0, np.array([pi]), 0, 0.0)
+
+
+def _enumerated(P, f, pi, nu):
+    """joint[k, s] = P(S_nu = k, xi_nu = s), summed over all 3^(nu + 1) paths."""
+    paths = np.array(list(itertools.product(range(3), repeat=nu + 1)))
+    mass = pi[paths[:, 0]] * np.prod(P[paths[:, :-1], paths[:, 1:]], axis=1)
+    joint = np.zeros((max(f) * nu + 1, 3))
+    np.add.at(joint, (np.asarray(f)[paths[:, 1:]].sum(axis=1), paths[:, -1]), mass)
+    return joint
+
+
+def test_a_three_state_step_matrix_against_enumeration():
+    # probabilities in sixteenths: every mass up to nu = 9 is a multiple of 2^-40 below 1, so
+    # the enumeration and the kernel, in float64 and in long double, are exact
+    P = np.array([[8, 5, 3], [2, 10, 4], [4, 4, 8]]) / 16
+    f, pi = (0, 1, 2), np.array([3, 8, 5]) / 16
+    want = [_enumerated(P, f, pi, nu) for nu in range(1, 10)]
+    run = _ThreeStateSum(P, f, pi)
+    for joint in want:
+        run.step()
+        assert run.offset == 0 and run.probs.tobytes() == joint.tobytes()
+        assert [run.prob(k) for k in range(-1, len(joint) + 1)] == [0.0, *joint.sum(axis=1), 0.0]
+    assert run.lost_mass == 0.0
+    # advance: the masses of targets along the way, and the same window at nu = 9
+    targets = [1, 0, 4, 6, 5, 9, 7, 16, 19]
+    run = _ThreeStateSum(P, f, pi)
+    got = run.advance(targets)
+    assert got.tolist() == [w[t].sum() if t < len(w) else 0.0 for w, t in zip(want, targets)]
+    assert run.n == 9 and run.probs.tobytes() == want[-1].tobytes()

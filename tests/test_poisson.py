@@ -281,3 +281,17 @@ def test_non_finite_masses_are_rejected():
             ps.franken_bound([[0.5, 0.5], bad])
     # a rounding-size negative mass is still let through
     assert ps.tv_distance([1.0, -1e-16], [1.0]) == pytest.approx(0.5e-16)
+
+
+def test_convolve_laws_checks_each_product_against_the_budget(monkeypatch):
+    from llt_lab.errors import ResourceLimitError
+
+    laws = [np.full(40, 1 / 40), np.full(31, 1 / 31), np.full(30, 1 / 30)]  # 40, 70, 99 entries
+    whole = ps.convolve_laws(laws)
+    monkeypatch.setattr(ps, "MAX_WINDOW", 99)
+    assert ps.convolve_laws(laws).tobytes() == whole.tobytes()
+    for more in ([np.full(2, 0.5)], [np.full(100, 0.01)]):
+        with pytest.raises(ResourceLimitError):
+            ps.convolve_laws(laws + more)
+    with pytest.raises(ResourceLimitError):  # a raw array past the budget on its own
+        ps.convolve_laws([np.full(100, 0.01)])
