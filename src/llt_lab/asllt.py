@@ -96,23 +96,25 @@ def _blocks(N: int, *dtypes):
 
 
 class _Running:
-    """Running sums over consecutive blocks, written in place.
+    """Running sums over consecutive blocks.
 
     The last sum enters the next block's first term and np.cumsum runs on the
     block; add.accumulate adds strictly left to right, so every block equals
-    its slice of one np.cumsum over all the blocks, bit for bit.
+    its slice of one np.cumsum over all the blocks, bit for bit.  The sums go
+    to another array than the block: numpy holds the GIL through an in-place
+    accumulate, and the pool's threads took turns on it.
     """
 
     def __init__(self):
         self.last = None
 
-    def __call__(self, block: np.ndarray) -> np.ndarray:
-        if len(block):
-            if self.last is not None:
-                block[0] += self.last
-            np.cumsum(block, out=block)
-            self.last = block[-1]
-        return block
+    def __call__(self, block: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The running sums through block into out, a new array if None; block[0] is overwritten."""
+        if self.last is not None and len(block):
+            block[0] += self.last
+        out = np.cumsum(block, out=out)
+        self.last = out[-1] if len(out) else self.last
+        return out
 
 
 class _LogAverage:
@@ -159,6 +161,27 @@ def _log_average(terms: np.ndarray, N: int, norm: Optional[np.ndarray] = None) -
     return avg.checkpoints()
 
 
+def _seed_pool(kind: str, target: float, N: int, seeds: Sequence[int], draws, block) -> list:
+    """Paths of one log-average hit estimator, one per seed, the seeds advancing block by block.
+
+    draws(rng) gives a seed's draw(u, out, *given): the walk's next len(u) increments into the
+    int64 array out, u being float scratch.  block(steps, n, x, y, k), with float scratch x, y
+    and int64 scratch k, gives the seed-free (targets, weights, level, *given) of the steps n:
+    a hit adds its weight, level is L_m (None for m) and given goes to every draw.  The walk is
+    summed into its own buffer (see _Running).
+    """
+    paths = [(draws(stream(seed)), _Running(), _LogAverage(N)) for seed in seeds]
+    for steps, n, u, inc, walk, hit, x, y, k in _blocks(N, float, np.int64, np.int64, bool,
+                                                         float, float, np.int64):
+        targets, weights, level, *given = block(steps, n, x, y, k)
+        for draw, total, avg in paths:
+            total(draw(u, inc, *given), walk)
+            hits = np.flatnonzero(np.equal(walk, targets, out=hit))
+            avg.add(len(n), hits, weights[hits], level)
+    return [PathEstimate(kind=kind, seed=seed, target=target, checkpoints=avg.checkpoints())
+            for seed, (*_, avg) in zip(seeds, paths)]
+
+
 # -- the i.i.d. square-integrable estimator ------------------------------------------
 
 
@@ -185,8 +208,17 @@ class KappaRule:
         if not all(map(math.isfinite, (self.mu, self.sigma, self.v0, self.D, self.kappa))):
             raise PreconditionError(f"kappa rule fields must be finite: {self}")
 
+    def within(self, N: int) -> "KappaRule":
+        """This rule, once |j_n| <= (n |mu - v0| + |kappa sigma| sqrt(n)) / |D| + 1/2 is below 2**62
+        for every n <= N: the targets fit in int64, with room for their rounding."""
+        reach = N * abs(self.mu - self.v0) + abs(self.kappa * self.sigma) * math.sqrt(N)
+        if not reach + abs(self.D) < 2.0 ** 62 * abs(self.D):  # inf fails too
+            raise PreconditionError(f"kappa = {self.kappa!r} and N = {N} put targets past int64")
+        return self
+
     def index(self, n) -> np.ndarray:
         n = np.asarray(n, dtype=np.float64)
+        self.within(math.ceil(n.max(initial=0.0)))
         return self._index_into(n, np.empty(n.shape), np.empty(n.shape),
                                 np.empty(n.shape, np.int64))
 
@@ -202,6 +234,13 @@ class KappaRule:
         x += 0.5
         np.copyto(out, np.floor(x, out=x), casting="unsafe")
         return out
+
+    def _pool_block(self, scale: float):
+        """The block of a seed pool (see _seed_pool) aiming at j_n, with weights scale n^{-1/2}."""
+        def block(steps, n, x, w, idx):
+            self._index_into(n, x, w, idx)
+            return idx, np.divide(scale, np.sqrt(n, out=w), out=w), None
+        return block
 
 
 def asllt_target(p: LatticePmf, kappa: float) -> float:
@@ -245,24 +284,10 @@ def _index_draws(p: LatticePmf, rng):
 
 
 def asllt_paths(p: LatticePmf, kappa: float, N: int, seeds: Sequence[int]) -> list:
-    """Simulated paths of (1/log N) sum_{n<=N} n^{-1/2} 1{S_n = kappa_n}, one per seed.
-
-    Each block's targets and weights are computed once for all the seeds;
-    every seed then advances its own stream, walk and log-average.
-    """
+    """Simulated paths of (1/log N) sum_{n<=N} n^{-1/2} 1{S_n = kappa_n}, one per seed."""
     _require_horizon(N, 4)
-    rule = KappaRule.for_pmf(p, kappa)
-    paths = [(_index_draws(p, stream(seed)), _Running(), _LogAverage(N)) for seed in seeds]
-    for _, n, u, x, w, ks, idx, hit in _blocks(N, float, float, float, np.int64, np.int64, bool):
-        rule._index_into(n, x, w, idx)
-        np.divide(1.0, np.sqrt(n, out=w), out=w)  # n^{-1/2}
-        for draw, walk, avg in paths:
-            walk(draw(u, ks))  # S_n, as support indices
-            hits = np.flatnonzero(np.equal(ks, idx, out=hit))
-            avg.add(len(n), hits, w[hits])
-    target = asllt_target(p, kappa)
-    return [PathEstimate(kind="t1", seed=seed, target=target, checkpoints=avg.checkpoints())
-            for seed, (*_, avg) in zip(seeds, paths)]
+    return _seed_pool("t1", asllt_target(p, kappa), N, seeds, lambda rng: _index_draws(p, rng),
+                      KappaRule.for_pmf(p, kappa).within(N)._pool_block(1.0))
 
 
 def asllt_path(p: LatticePmf, kappa: float, N: int, seed: int) -> PathEstimate:
@@ -349,29 +374,19 @@ def chung_erdos_paths(p: LatticePmf, a_index: int, N: int, seeds: Sequence[int],
                       masses: Optional[np.ndarray] = None) -> list:
     """Paths of (1/log M_n) sum_{k<=n} 1{S_k = a}/M_k with M_k = sum_{i<=k} P{S_i=a}, one per seed.
 
-    The target is 1.  ``masses`` may carry a precomputed m_k array; the seeds
-    share it, and each block's M_k and 1/M_k are computed once for all of them.
+    The target is 1.  ``masses`` may carry a precomputed m_k array, which the seeds share.
     """
-    m = _hit_masses(p, a_index, N, masses)
-    total = _Running()
-    paths = [(_index_draws(p, stream(seed)), _Running(), _LogAverage(N)) for seed in seeds]
-    for steps, _, u, M, inv, ks, hit in _blocks(N, float, float, float, np.int64, bool):
-        M[:] = m[steps]
-        _per_mass(1.0, total(M), inv)
-        for draw, walk, avg in paths:
-            walk(draw(u, ks))
-            hits = np.flatnonzero(np.equal(ks, a_index, out=hit))
-            avg.add(len(M), hits, inv[hits], M)
-    return [PathEstimate(kind="chung_erdos", seed=seed, target=1.0, checkpoints=avg.checkpoints())
-            for seed, (*_, avg) in zip(seeds, paths)]
+    m, total = _hit_masses(p, a_index, N, masses), _Running()
+
+    def block(steps, n, m_k, M, _):
+        np.copyto(m_k, m[steps])
+        return a_index, _per_mass(1.0, total(m_k, M), m_k), M
+    return _seed_pool("chung_erdos", 1.0, N, seeds, lambda rng: _index_draws(p, rng), block)
 
 
 def chung_erdos_path(p: LatticePmf, a_index: int, N: int, seed: int,
                      masses: Optional[np.ndarray] = None) -> PathEstimate:
-    """Path of (1/log M_n) sum_{k<=n} 1{S_k = a}/M_k with M_k = sum_{i<=k} P{S_i=a}.
-
-    The target is 1.  ``masses`` may carry a precomputed m_k array.
-    """
+    """One path of ``chung_erdos_paths``: its target is 1, ``masses`` may carry the m_k."""
     return chung_erdos_paths(p, a_index, N, [seed], masses)[0]
 
 
@@ -462,32 +477,39 @@ class _ChainSteps:
         self.pi1 = chain.pi[1]
         self.low, self.high = sorted((chain.p01, chain.p10))
         self.forced = chain.p01 > chain.p10
-        self.parity = np.empty(size, bool)
-        self.change = np.empty(size, bool)
+        # the xor scans write into other buffers than they read (see _Running)
+        self.flip, self.parity, self.change = (np.empty(size, bool) for _ in range(3))
 
     def __call__(self, u: np.ndarray, prev, out: np.ndarray) -> np.ndarray:
         """States for the uniforms u into the int64 array out; prev is the state before u[0],
         or None for a start from the stationary law."""
         b = len(u)
-        parity, change = self.parity[:b], self.change[:b]
-        np.less(u, self.low, out=parity)  # the flips
-        np.less(u, self.high, out=change)
-        change ^= parity  # the forced steps
+        flip = np.less(u, self.low, out=self.flip[:b])
+        change = np.less(u, self.high, out=self.change[:b])
+        change ^= flip  # the forced steps
         if prev is None:  # the first state is drawn from pi: neither forced nor flipped
             prev = u[0] < self.pi1
-            parity[0] = change[0] = False
-        np.logical_xor.accumulate(parity, out=parity)
+            flip[0] = change[0] = False
+        parity = np.logical_xor.accumulate(flip, out=self.parity[:b])
         prev = bool(prev)  # s xor P before the block
         at = np.flatnonzero(change)
-        held = parity[at] ^ self.forced  # s xor P from each forced step on
-        step = held.copy()  # its changes: against the forced step before, the first against prev
-        step[1:] ^= held[:-1]
-        step[:1] ^= prev
+        # s xor P from each forced step on, and its changes there: against the forced step
+        # before, the first against prev (np.diff of booleans is their xor)
+        step = np.diff(parity[at] ^ self.forced, prepend=prev)
         change.fill(False)
         change[at] = step
         change[0] ^= prev
-        np.logical_xor.accumulate(change, out=change)
-        return np.not_equal(change, parity, out=out)
+        return np.not_equal(np.logical_xor.accumulate(change, out=flip), parity, out=out)
+
+    def draws(self, rng):
+        """draw(u, out): the next len(u) states of one chain from the stationary start into out."""
+        prev = None  # the state before the block
+
+        def draw(u, out):
+            nonlocal prev
+            prev = self(rng.random(out=u), prev, out)[-1]
+            return out
+        return draw
 
 
 def _simulate_chain(chain: TwoStateChain, N: int, rng, prev=None) -> np.ndarray:
@@ -497,28 +519,11 @@ def _simulate_chain(chain: TwoStateChain, N: int, rng, prev=None) -> np.ndarray:
 
 def markov_asllt_paths(chain: TwoStateChain, kappa: float, N: int,
                        seeds: Sequence[int]) -> list:
-    """Paths of (1/log n) sum (sigma/sqrt(nu)) 1{S_nu = kappa_nu}, one per seed; target phi(kappa).
-
-    Each block's targets and weights are computed once for all the seeds;
-    every seed then advances its own stream, chain state and log-average.
-    """
+    """One path per seed of (1/log n) sum sigma nu^{-1/2} 1{S_nu = kappa_nu}; target phi(kappa)."""
     _require_horizon(N, 4)
-    rule, sigma = _markov_rule(chain, kappa), math.sqrt(chain.sigma2)
-    steps = _ChainSteps(chain, min(N, _BLOCK))
-    paths = [[stream(seed), None, _Running(), _LogAverage(N)] for seed in seeds]
-    for _, nu, u, x, w, states, idx, hit in _blocks(N, float, float, float, np.int64, np.int64,
-                                                     bool):
-        rule._index_into(nu, x, w, idx)
-        np.divide(sigma, np.sqrt(nu, out=w), out=w)
-        for path in paths:
-            rng, prev, ones, avg = path
-            path[1] = steps(rng.random(out=u), prev, states)[-1]
-            ones(states)  # the number of ones up to nu
-            hits = np.flatnonzero(np.equal(states, idx, out=hit))
-            avg.add(len(nu), hits, w[hits])
-    target = math.exp(-0.5 * kappa * kappa) / SQRT_2PI
-    return [PathEstimate(kind="markov", seed=seed, target=target, checkpoints=path[3].checkpoints())
-            for seed, path in zip(seeds, paths)]
+    return _seed_pool("markov", math.exp(-0.5 * kappa * kappa) / SQRT_2PI, N, seeds,
+                      _ChainSteps(chain, min(N, _BLOCK)).draws,
+                      _markov_rule(chain, kappa).within(N)._pool_block(math.sqrt(chain.sigma2)))
 
 
 def markov_asllt_path(chain: TwoStateChain, kappa: float, N: int, seed: int) -> PathEstimate:
@@ -705,27 +710,20 @@ def dickman_strong_llt(n: int, rho: DickmanRho) -> float:
 
 
 def asllt_dickman_paths(N: int, seeds: Sequence[int], rho: DickmanRho, x: float = 1.0) -> list:
-    """Coupled paths of (1/log N) sum_{n<=N} 1{T_n = round(x n)}, one per seed.
-
-    Target e^{-gamma} rho(x).  Each block's 1/n and round(x n) are computed
-    once for all the seeds; every seed then advances its own stream, sum
-    T_n and log-average.
-    """
+    """Coupled paths of (1/log N) sum_{n<=N} 1{T_n = round(x n)}, one per seed; target
+    e^{-gamma} rho(x)."""
     _require_horizon(N, 4)
     _dickman_index(x, N, least=1.0)  # x >= 1: round(x n) increases, so n = N is the largest
     _require_tabulated(rho, x)
-    paths = [(stream(seed), _Running(), _LogAverage(N)) for seed in seeds]
-    for _, n, u, f, t, k, hit in _blocks(N, float, float, np.int64, np.int64, bool):
+
+    def draws(rng):  # a seed's increments n Z_n of T_n, Z_n ~ Bernoulli(1/n)
+        return lambda u, out, n, f: np.multiply(n, rng.random(out=u) < f, out=out,
+                                                casting="unsafe")
+
+    def block(steps, n, f, _, k):
         np.copyto(k, _round_half_up(x, n, f), casting="unsafe")
-        np.divide(1.0, n, out=f)
-        for rng, total, avg in paths:
-            np.less(rng.random(out=u), f, out=hit)  # Z_n ~ Bernoulli(1/n)
-            total(np.multiply(n, hit, out=t, casting="unsafe"))  # T_n = sum_{j<=n} j Z_j
-            hits = np.flatnonzero(np.equal(t, k, out=hit))
-            avg.add(len(n), hits, np.ones(len(hits)))
-    target = math.exp(-EULER_GAMMA) * float(rho(x))
-    return [PathEstimate(kind="dickman", seed=seed, target=target, checkpoints=avg.checkpoints())
-            for seed, (*_, avg) in zip(seeds, paths)]
+        return k, np.broadcast_to(1.0, n.shape), None, n, np.divide(1.0, n, out=f)
+    return _seed_pool("dickman", math.exp(-EULER_GAMMA) * float(rho(x)), N, seeds, draws, block)
 
 
 def asllt_dickman_path(N: int, seed: int, rho: DickmanRho, x: float = 1.0) -> PathEstimate:

@@ -193,9 +193,9 @@ class LatticePmf(LatticeWindow):
                 }
             )
         supp, masses = self.atoms()
-        # json writes each (k, m) tuple as the array [k, m]
+        # json writes each (k, m) tuple as the array [k, m]; no pair can hold itself
         pmf = list(zip(supp.tolist(), masses.tolist()))
-        return json.dumps({"v0": self.v0, "D": self.D, "pmf": pmf})
+        return json.dumps({"v0": self.v0, "D": self.D, "pmf": pmf}, check_circular=False)
 
     @staticmethod
     def from_json(text: str) -> "LatticePmf":
