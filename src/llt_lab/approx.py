@@ -18,9 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, UnsupportedParameterError
+from .errors import PreconditionError, ResourceLimitError, UnsupportedParameterError
 from .exact import SumLawTable, residues_mod, sum_law, sup_cdf_distance
-from .lattice import SQRT_2PI, LatticePmf, bernoulli, char_fn, gaussian_scale, moments, write_csv
+from .lattice import (MAX_WINDOW, SQRT_2PI, LatticePmf, bernoulli, char_fn, gaussian_scale,
+                      moments, write_csv)
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ def _normal_curve(x, M: float, B2: float, D: float):
 
 def _window(law: SumLawTable, pad: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice points and masses of the stored window widened by ``pad`` zeros on each side."""
+    if len(law.dense) + 2 * pad > MAX_WINDOW:  # before the window is allocated
+        raise ResourceLimitError(f"a window padded by {pad} on each side exceeds memory budget")
     probs = np.zeros(len(law.dense) + 2 * pad)
     probs[pad:pad + len(law.dense)] = law.dense
     return law.points(law.offset - pad + np.arange(len(probs))), probs

@@ -68,9 +68,12 @@ def _checkpoints(N: int) -> list[int]:
     return sorted(pts)
 
 
-def _require_horizon(N: int, least: int) -> None:
+def _require_horizon(N: int, least: int, most: float = math.inf) -> None:
+    """least <= N <= most; the exact modes pass most = MAX_WINDOW, as they hold N-sized arrays."""
     if N < least:
         raise PreconditionError(f"need a horizon of at least {least}, got {N}")
+    if N > most:
+        raise ResourceLimitError(f"a horizon of {N} steps exceeds memory budget")
 
 
 _BLOCK = 1 << 15  # steps per block: a path's buffers take a few MB whatever its horizon
@@ -297,7 +300,7 @@ def asllt_path(p: LatticePmf, kappa: float, N: int, seed: int) -> PathEstimate:
 
 def asllt_expectation(p: LatticePmf, kappa: float, N: int) -> float:
     """Exact (1/log N) sum_{n<=N} n^{-1/2} P{S_n = kappa_n}."""
-    _require_horizon(N, 2)
+    _require_horizon(N, 2, MAX_WINDOW)
     n = np.arange(1, N + 1)
     m = hit_mass_sequence(p, KappaRule.for_pmf(p, kappa).index(n), N)
     return _log_average(m / np.sqrt(n), N)[-1][1]
@@ -319,6 +322,7 @@ def hit_mass_sequence(p: LatticePmf, a_index, N: int) -> np.ndarray:
     advances ``RunningConvolution.block`` steps at once, which agrees with the
     single steps to about 1e-13 relative (the error grows with the number of blocks).
     """
+    _require_horizon(N, 0, MAX_WINDOW)
     run = RunningConvolution(p)
     targets = np.broadcast_to(a_index, (N,))
     out = np.empty(N)
@@ -335,11 +339,14 @@ def _fill_in_blocks(run: RunningConvolution, targets, out: np.ndarray) -> np.nda
     return out
 
 
-def require_recurrent(p: LatticePmf, a_index: int) -> None:
-    """Reject a one-point law, and a walk that visits the level a finitely often in expectation.
+def _hit_masses(p: LatticePmf, a_index: int, N: int,
+                masses: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Hit masses m_k = P{S_k = a} for k = 1..N (or the given ones) and their running totals
+    M_k = sum_{i<=k} m_i, once the walk returns to a and M_N >= 2.
 
-    The level a is an index, so a walk whose index increments have a nonzero
-    mean drifts away from it: sum_k P{S_k = a} is finite and no N suffices.
+    A one-point law is rejected, and so is a walk whose index increments have a
+    nonzero mean: the level a is an index, so the walk drifts away from it,
+    sum_k P{S_k = a} is finite and no N suffices.
     """
     if p.is_degenerate():
         raise PreconditionError("degenerate summand law")
@@ -347,21 +354,15 @@ def require_recurrent(p: LatticePmf, a_index: int) -> None:
     if abs(drift) > MASS_TOL:
         raise PreconditionError(f"index increments have mean {drift:.6g}, not 0: level "
                                 f"{a_index} is visited finitely often in expectation")
-
-
-def _hit_masses(p: LatticePmf, a_index: int, N: int,
-                masses: Optional[np.ndarray]) -> np.ndarray:
-    """Hit masses m_k = P{S_k = a} for k = 1..N (or the given ones), once their total M_N >= 2."""
-    require_recurrent(p, a_index)
     m = hit_mass_sequence(p, a_index, N) if masses is None else np.asarray(masses, np.float64)
     if len(m) != N:
         raise PreconditionError(f"masses must hold N = {N} hit masses, not {len(m)}")
     if not np.all(np.isfinite(m) & (m >= 0.0)):
         raise PreconditionError("hit masses must be finite and >= 0")
-    # M_N as the last running total M_k: np.cumsum adds left to right, as _Running does
-    if N == 0 or np.cumsum(m)[-1] < 2.0:
+    M = np.cumsum(m)
+    if N == 0 or M[-1] < 2.0:
         raise PreconditionError("insufficient mass, increase N")
-    return m
+    return m, M
 
 
 def _per_mass(x, M: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -370,18 +371,27 @@ def _per_mass(x, M: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(x, M, out=out, where=M > 0)
 
 
+def chung_erdos_kernel(p: LatticePmf, a_index: int, N: int,
+                       masses: Optional[np.ndarray] = None):
+    """seeds -> the paths of ``chung_erdos_paths``, the masses checked and totalled once here.
+
+    The batches of one command may call it on several threads: they share the read-only M_k.
+    """
+    M = _hit_masses(p, a_index, N, masses)[1]
+
+    def block(steps, n, x, *_):
+        return a_index, _per_mass(1.0, M[steps], x), M[steps]
+    return lambda seeds: _seed_pool("chung_erdos", 1.0, N, seeds,
+                                    lambda rng: _index_draws(p, rng), block)
+
+
 def chung_erdos_paths(p: LatticePmf, a_index: int, N: int, seeds: Sequence[int],
                       masses: Optional[np.ndarray] = None) -> list:
     """Paths of (1/log M_n) sum_{k<=n} 1{S_k = a}/M_k with M_k = sum_{i<=k} P{S_i=a}, one per seed.
 
     The target is 1.  ``masses`` may carry a precomputed m_k array, which the seeds share.
     """
-    m, total = _hit_masses(p, a_index, N, masses), _Running()
-
-    def block(steps, n, m_k, M, _):
-        np.copyto(m_k, m[steps])
-        return a_index, _per_mass(1.0, total(m_k, M), m_k), M
-    return _seed_pool("chung_erdos", 1.0, N, seeds, lambda rng: _index_draws(p, rng), block)
+    return chung_erdos_kernel(p, a_index, N, masses)(seeds)
 
 
 def chung_erdos_path(p: LatticePmf, a_index: int, N: int, seed: int,
@@ -393,8 +403,7 @@ def chung_erdos_path(p: LatticePmf, a_index: int, N: int, seed: int,
 def chung_erdos_expectation(p: LatticePmf, a_index: int, N: int,
                             masses: Optional[np.ndarray] = None) -> float:
     """(1/log M_N) sum_{k<=N} m_k/M_k; tends to 1 as the mass accumulates."""
-    m = _hit_masses(p, a_index, N, masses)
-    M = np.cumsum(m)
+    m, M = _hit_masses(p, a_index, N, masses)
     return _log_average(_per_mass(m, M, np.empty(N)), N, norm=M)[-1][1]
 
 
@@ -551,7 +560,7 @@ def _markov_hit_masses(chain: TwoStateChain, targets: np.ndarray) -> np.ndarray:
 def markov_asllt_expectation(chain: TwoStateChain, kappa: float, N: int) -> float:
     """Exact (1/log N) sum (sigma/sqrt(nu)) P{S_nu = kappa_nu} via the transfer table, in
     blocks past nu = 2048 (see ``_markov_hit_masses``)."""
-    _require_horizon(N, 2)
+    _require_horizon(N, 2, MAX_WINDOW)
     nu = np.arange(1, N + 1)
     m = _markov_hit_masses(chain, markov_kappa_indices(chain, kappa, nu))
     return _log_average(m * math.sqrt(chain.sigma2) / np.sqrt(nu), N)[-1][1]
@@ -768,7 +777,7 @@ def dickman_expectation(N: int, x: float, rho: Optional[DickmanRho] = None) -> f
     expectation needs no Dickman table.  It is kept so that calls passing one
     still work.
     """
-    _require_horizon(N, 2)
+    _require_horizon(N, 2, MAX_WINDOW)
     n = np.arange(1, N + 1)
     targets = _dickman_index(x, n)
     m = np.zeros(N)  # P{T_n = round(x n)}

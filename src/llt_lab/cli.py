@@ -126,20 +126,12 @@ def _seed_batches(seeds: list[int], k: int) -> list[list[int]]:
     return [seeds[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _chung_erdos_kernel(args):
-    """One mass sequence for all seeds, computed once the walk is known to return."""
-    walk = parse_dist(args.dist)
-    asl.require_recurrent(walk, args.a)
-    return functools.partial(asl.chung_erdos_paths, walk, args.a, args.N,
-                             masses=asl.hit_mass_sequence(walk, args.a, args.N))
-
-
 #: --kind -> the builder of that estimator's batch kernel, args -> (seeds -> estimates).
 #: The model is built once; laws and chains are immutable, so the worker threads share it.
 ASLLT_KINDS = {
     "t1": lambda args: functools.partial(asl.asllt_paths, parse_dist(args.dist), args.kappa,
                                          args.N),
-    "ce": _chung_erdos_kernel,
+    "ce": lambda args: asl.chung_erdos_kernel(parse_dist(args.dist), args.a, args.N),
     "markov": lambda args: functools.partial(
         asl.markov_asllt_paths, asl.TwoStateChain(args.p01, args.p10), args.kappa, args.N),
     "dickman": lambda args: functools.partial(asl.asllt_dickman_paths, args.N,
