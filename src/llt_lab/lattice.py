@@ -15,6 +15,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -112,15 +114,20 @@ class LatticePmf(LatticeWindow):
     __slots__ = ("v0", "D", "offset", "dense", "family")
 
     def __init__(self, v0: float, D: float, weights: Mapping[int, float]):
-        if not weights:
+        n = len(weights)
+        self._set_atoms(v0, D, np.fromiter(weights, dtype=np.int64, count=n),
+                        np.fromiter(weights.values(), dtype=np.float64, count=n))
+
+    def _set_atoms(self, v0: float, D: float, keys: np.ndarray, masses: np.ndarray) -> None:
+        """Scatter masses[i] to index keys[i] (each index once) into the window."""
+        if not len(keys):
             raise ValueError("weights must be non-empty")
-        keys = np.fromiter(weights, dtype=np.int64, count=len(weights))
         lo = int(keys.min())
         width = int(keys.max()) - lo + 1
         if width > MAX_WINDOW:
             raise ResourceLimitError(f"dense window of {width} entries exceeds budget")
         dense = np.zeros(width)
-        dense[keys - lo] = np.fromiter(weights.values(), dtype=np.float64, count=len(weights))
+        dense[keys - lo] = masses
         self._set_window(v0, D, lo, dense, None)
 
     @classmethod
@@ -184,14 +191,13 @@ class LatticePmf(LatticeWindow):
     def to_json(self) -> str:
         """Distribution spec; bit-exact round-trip for the explicit form."""
         if self.family is not None:
-            return json.dumps(
-                {
-                    "family": "power_tail",
-                    "alpha": self.family["alpha"],
-                    "c": self.family["c"],
-                    "truncation_mass": self.family["truncation_mass"],
-                }
-            )
+            fam = self.family
+            spec = {"family": "power_tail", "alpha": fam["alpha"], "c": fam["c"],
+                    "truncation_mass": fam["truncation_mass"]}
+            J = fam["truncation_index"]
+            if J < _truncation_index(fam["alpha"], fam["c"], fam["truncation_mass"]):
+                spec["max_index"] = J  # max_index bound the truncation
+            return json.dumps(spec)
         supp, masses = self.atoms()
         # json writes each (k, m) tuple as the array [k, m]; no pair can hold itself
         pmf = list(zip(supp.tolist(), masses.tolist()))
@@ -203,29 +209,46 @@ class LatticePmf(LatticeWindow):
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"a law spec must be a JSON object, not {type(obj).__name__}")
-        if obj.get("family") == "power_tail":
+        family = obj.get("family")
+        if family == "power_tail":
             args = (obj.get("alpha"), obj.get("c", 1.0), obj.get("truncation_mass", 1e-10))
             if not all(type(a) in (int, float) for a in args):  # a missing alpha is None
                 raise ValueError("power_tail alpha, c and truncation_mass must be JSON numbers")
-            return power_tail(*args)
+            max_index = obj.get("max_index")
+            if max_index is not None and not (type(max_index) is int and max_index > 0):
+                raise ValueError("power_tail max_index must be a positive JSON integer")
+            return power_tail(*args, max_index=max_index)
+        if "pmf" not in obj and family is not None:
+            raise ValueError(f"unknown law family {family!r}; an explicit spec needs \"pmf\"")
+        missing = [f'"{field}"' for field in ("v0", "D", "pmf") if field not in obj]
+        if missing:
+            raise ValueError(f"the law spec lacks {', '.join(missing)}")
         pmf, v0, D = obj["pmf"], obj["v0"], obj["D"]
-        try:
-            weights = dict(pmf)
-        except (TypeError, ValueError) as exc:  # "pmf" not a list of pairs
-            raise ValueError(f'"pmf" must be a list of [index, mass] number pairs: {exc}') from None
+        # C-level passes over the list check and read the pairs, so no copy of them is built
+        if type(pmf) is not list or not (set(map(type, pmf)) <= {list}
+                                          and set(map(len, pmf)) <= {2}):
+            raise ValueError('"pmf" must be a list of [index, mass] number pairs')
         # a JSON true is an int to Python and "0.5" would parse, so the types are compared
-        if not set(map(type, (v0, D, *weights.values()))) <= {int, float}:
+        if not set(map(type, chain((v0, D), map(itemgetter(1), pmf)))) <= {int, float}:
             raise ValueError("v0, D and the masses of the [index, mass] number pairs "
                              "must be JSON numbers")
-        if not set(map(type, weights)) <= {int}:  # a float index would be truncated
+        if not set(map(type, map(itemgetter(0), pmf))) <= {int}:  # a float index would be cut
             raise ValueError("pmf indices must be JSON integers")
-        if len(weights) < len(pmf):  # the dict kept only the last mass of an index
-            twice = next(k for k, c in Counter(k for k, _ in pmf).items() if c > 1)
-            raise ValueError(f"pmf index {twice} is listed more than once")
+        n = len(pmf)
         try:
-            return LatticePmf(float(v0), float(D), weights)
+            v0, D = float(v0), float(D)
+            keys = np.fromiter(map(itemgetter(0), pmf), dtype=np.int64, count=n)
+            masses = np.fromiter(map(itemgetter(1), pmf), dtype=np.float64, count=n)
         except OverflowError as exc:  # an index past int64, or a number past the float range
             raise ValueError(f"a number of the spec is out of range: {exc}") from None
+        ordered = np.sort(keys)
+        if (ordered[1:] == ordered[:-1]).any():
+            twice = next(k for k, c in Counter(k for k, _ in pmf).items() if c > 1)
+            raise ValueError(f"pmf index {twice} is listed more than once")
+        del ordered  # not kept through the scatter
+        law = LatticePmf.__new__(LatticePmf)
+        law._set_atoms(v0, D, keys, masses)
+        return law
 
 
 # -- constructors for common laws -----------------------------------------------
@@ -262,6 +285,16 @@ def lazy_walk() -> LatticePmf:
     return LatticePmf(0.0, 1.0, {-1: 0.25, 0: 0.5, 1: 0.25})
 
 
+def _truncation_index(alpha: float, c: float, tail_mass: float,
+                      max_index: Optional[int] = None) -> int:
+    """The last index J that ``power_tail`` keeps."""
+    hard_cap = MAX_WINDOW >> 3
+    J = math.ceil((c / tail_mass) ** (1.0 / alpha)) if tail_mass > 0 else hard_cap
+    if max_index is not None:
+        J = min(J, max_index)
+    return min(max(J, 8), hard_cap)
+
+
 def power_tail(alpha: float, c: float = 1.0, tail_mass: float = 1e-10,
                max_index: Optional[int] = None) -> LatticePmf:
     """Discretised one-sided power-tail law p(j) = c*(j^-a - (j+1)^-a), j >= 1.
@@ -278,11 +311,7 @@ def power_tail(alpha: float, c: float = 1.0, tail_mass: float = 1e-10,
         raise UnsupportedParameterError("tail constant c must lie in (0, 1]")
     if not tail_mass >= 0:
         raise UnsupportedParameterError("truncation mass must be >= 0")
-    hard_cap = MAX_WINDOW >> 3
-    J = math.ceil((c / tail_mass) ** (1.0 / alpha)) if tail_mass > 0 else hard_cap
-    if max_index is not None:
-        J = min(J, max_index)
-    J = min(max(J, 8), hard_cap)
+    J = _truncation_index(alpha, c, tail_mass, max_index)
     tail = np.arange(1, J + 2, dtype=np.float64) ** -alpha  # j^-a for j = 1..J+1
     w = c * (tail[:-1] - tail[1:])
     discarded = c * float(J + 1) ** -alpha
