@@ -54,6 +54,9 @@ def _normal_curve(x, M: float, B2: float, D: float):
 
 def _window(law: SumLawTable, pad: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice points and masses of the stored window widened by ``pad`` zeros on each side."""
+    if law.beyond_mass > 0:  # the window is not the whole law its moments describe
+        raise PreconditionError(f"a table capped with beyond_mass {law.beyond_mass!r} "
+                                f"has no Gaussian comparison")
     if len(law.dense) + 2 * pad > MAX_WINDOW:  # before the window is allocated
         raise ResourceLimitError(f"a window padded by {pad} on each side exceeds memory budget")
     probs = np.zeros(len(law.dense) + 2 * pad)
@@ -380,6 +383,8 @@ def doney_ratio(p: LatticePmf, n: int, m: int, mu: Optional[float] = None,
         mu = moments(p).mu
     if mu is None:
         raise PreconditionError("doney_ratio needs a finite mean")
+    if not (math.isfinite(mu) and math.isfinite(eps)):  # NaN would pass the check below
+        raise PreconditionError(f"mu and eps must be finite, got mu={mu!r}, eps={eps!r}")
     if m < (mu + eps) * n:
         raise PreconditionError(f"m >= (mu + eps) n fails: {m} < {(mu + eps) * n}")
     cap = m + 4
@@ -489,10 +494,9 @@ def aud_diagnostics(ps: LatticePmf | Sequence[LatticePmf], n: int, h: int) -> Re
     # residue law of the sum, folded mod h step by step
     res = np.zeros(h)
     res[0] = 1.0
-    dw = np.empty((h - 1, n))
-    roz = np.empty(n)
-    dw_acc = np.ones(h - 1)
-    roz_acc = 1.0
+    t = 2.0 * math.pi * np.arange(1, h) / h
+    dw = np.empty((h - 1, n))  # |phi_j(t)| of each summand, then its running product
+    roz = np.empty(n)  # each summand's largest residue mass, then its running product
     for j, pj in enumerate(seq):
         pj.integer_view()
         step = residues_mod(pj, h)
@@ -501,11 +505,7 @@ def aud_diagnostics(ps: LatticePmf | Sequence[LatticePmf], n: int, h: int) -> Re
             if step[r]:
                 new += step[r] * np.roll(res, r)
         res = new
-        t = 2.0 * math.pi * np.arange(1, h) / h
-        dw_acc = dw_acc * np.abs(char_fn(pj, t))
-        dw[:, j] = dw_acc
-        roz_acc *= float(step.max())
-        roz[j] = roz_acc
-    return ResidueDiagnostics(h=h, n=n, residues=res,
-                              dw_partial_products=dw,
-                              rozanov_partial_products=roz)
+        dw[:, j] = np.abs(char_fn(pj, t))
+        roz[j] = step.max()
+    return ResidueDiagnostics(h=h, n=n, residues=res, dw_partial_products=np.cumprod(dw, axis=1),
+                              rozanov_partial_products=np.cumprod(roz))

@@ -298,9 +298,9 @@ def weighted_sum_law(weights: Sequence[int], probs: Sequence[float],
             # groups terms by the slice length
             beyond += float(dp.law[max(top - ak + 1, 0): dp.hi + 1].sum()) * qk
         dp.step(ak, qk)
-    mu = float(np.dot(a, q))
-    s2 = float(sum(ak * ak * qk * (1 - qk) for ak, qk in zip(a, q)))
-    mu3 = float(sum(ak ** 3 * qk * (1 - qk) * (1 - 2 * qk) for ak, qk in zip(a, q)))
+    af, qf = np.array(a, dtype=np.float64), np.array(q, dtype=np.float64)
+    var = qf * (1 - qf)
+    mu, s2, mu3 = float(af @ qf), float(af * af @ var), float(af ** 3 @ (var * (1 - 2 * qf)))
     return SumLawTable(n=len(a), origin=0.0, D=1.0, offset=0, dense=dp.law[: dp.hi + 1].copy(),
                        meta=MomentSummary(mu, s2, mu3), beyond_mass=beyond)
 
@@ -564,6 +564,9 @@ def sup_cdf_distance(law: SumLawTable, center: Optional[float] = None,
     are evaluated and the max taken.  Defaults: center/scale from the table
     moments.
     """
+    if law.beyond_mass > 0:  # the stored CDF never reaches one
+        raise PreconditionError(f"a table capped with beyond_mass {law.beyond_mass!r} "
+                                f"has no Gaussian comparison")
     if center is None:
         center = law.meta.mu
     if scale is None:

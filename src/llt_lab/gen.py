@@ -14,10 +14,7 @@ def random_pmf(rng: np.random.Generator, max_atoms: int = 8, span: int = 1,
     k = int(rng.integers(2, max_atoms + 1))
     positions = rng.choice(np.arange(0, window) * span, size=k, replace=False)
     w = rng.dirichlet(np.ones(k))
-    weights = {int(pos): float(m) for pos, m in zip(positions, w) if m > 0}
-    total = sum(weights.values())
-    weights = {p: m / total for p, m in weights.items()}
-    return LatticePmf(0.0, 1.0, weights)
+    return LatticePmf(0.0, 1.0, dict(zip(positions.tolist(), w.tolist())))
 
 
 def random_adjacent_pmf(rng: np.random.Generator, max_atoms: int = 8) -> LatticePmf:

@@ -304,7 +304,13 @@ def power_tail(alpha: float, c: float = 1.0, tail_mass: float = 1e-10,
     budget if that is reached first); weights are renormalised to total mass
     one and the discarded mass is recorded on the family descriptor.  For
     c < 1 the deficit at the lattice origin is an atom at j = 0.
+    ``max_index`` is None or an integer >= 1 (not a bool); J never falls
+    below 8, so a smaller ``max_index`` still keeps indices 1..8.
     """
+    if max_index is not None and (isinstance(max_index, bool)
+                                  or not isinstance(max_index, (int, np.integer)) or max_index < 1):
+        raise UnsupportedParameterError(f"max_index must be None or an integer >= 1, "
+                                        f"got {max_index!r}")
     if not alpha > 0:
         raise UnsupportedParameterError("power tail requires alpha > 0")
     if not 0.0 < c <= 1.0:
@@ -342,11 +348,7 @@ def maximal_span(p: LatticePmf) -> float:
     supp = p.support
     if len(supp) < 2:
         raise DegenerateLawError("degenerate: span undefined")
-    diffs = np.diff(supp)
-    g = 0
-    for d in diffs:
-        g = math.gcd(g, int(d))
-    return p.D * g
+    return p.D * int(np.gcd.reduce(np.diff(supp)))
 
 
 def adjacent_overlap(p: LatticeWindow) -> float:

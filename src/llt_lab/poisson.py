@@ -101,7 +101,7 @@ def lecam_bound(ps: Sequence[float]) -> float:
     ps = [float(p) for p in ps]
     if any(not 0.0 < p < 1.0 for p in ps):
         raise PreconditionError("success probabilities must lie in (0,1)")
-    return 2.0 * sum(p * p for p in ps)
+    return 2.0 * float(np.dot(ps, ps))
 
 
 def lecam_full_sum(ps: Sequence[float]) -> float:
