@@ -43,9 +43,10 @@ def parse_dist(spec: str) -> LatticePmf:
             a, _, b = arg.partition("..")
             return uniform_range(int(a), int(b))
         if name == "power_tail":
-            parts = arg.split(",")
-            c = float(parts[1]) if len(parts) > 1 else 1.0
-            return power_tail(float(parts[0]), c=c)
+            alpha, *c = arg.split(",")
+            if len(c) > 1:
+                raise LltLabError(f"{spec!r}: power_tail takes alpha[,c]")
+            return power_tail(float(alpha), c=float(c[0]) if c else 1.0)
         raise LltLabError(f"unknown family {name!r}")
     path = Path(spec)
     if not path.exists():

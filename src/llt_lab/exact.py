@@ -344,20 +344,10 @@ def joint_law(p: LatticePmf, m: int, n: int) -> JointCell:
     return JointCell(m=m, n=n, a_indices=a_idx, b_indices=b_idx, table=table)
 
 
-#: atoms per edge that RunningConvolution.step reads in Python before it scans in numpy
-_EDGE = 8
 #: RunningConvolution.advance takes at most this many steps at once ...
 _BLOCK_STEPS = 128
 #: ... and its table of the powers p^{*j}, j = 1..B, holds at most this many floats
 _BLOCK_CELLS = 2 ** 16
-
-
-def _sum_in_order(values) -> float:
-    """values added strictly left to right (from Python 3.12 builtin sum compensates)."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def _block_steps(width: int) -> int:
@@ -368,24 +358,11 @@ def _block_steps(width: int) -> int:
     return b
 
 
-def _correlate(a: np.ndarray, v_rev: np.ndarray) -> np.ndarray:
-    """np.convolve(a, v) for v = v_rev[::-1], bit for bit, without np.convolve's argument checks."""
-    if len(a) < len(v_rev):  # np.convolve slides the shorter array along the longer one
-        return np.correlate(v_rev[::-1], a[::-1], "full")
-    return np.correlate(a, v_rev, "full")
-
-
-def _into(T_rev: np.ndarray) -> list:
-    """[[T_rev[s, t] for each state s] for each state t]: reversed polynomials into t."""
-    S = len(T_rev)
-    return [[T_rev[s, t] for s in range(S)] for t in range(S)]
-
-
-def _column(cols, polys: list) -> np.ndarray:
-    """sum_s cols[s] * polys[s] for reversed polynomials, added in state order."""
-    col = _correlate(cols[0], polys[0])
+def _column(cols, polys) -> np.ndarray:
+    """sum_s cols[s] * polys[s], added in state order."""
+    col = np.convolve(cols[0], polys[0])
     for s in range(1, len(cols)):
-        col += _correlate(cols[s], polys[s])
+        col += np.convolve(cols[s], polys[s])
     return col
 
 
@@ -405,12 +382,12 @@ class RunningConvolution:
         self._start(p.dense[None, None], p.offset, np.ones((1, 1)), 0, floor)
 
     def _start(self, T1: np.ndarray, shift: int, window: np.ndarray, n: int, floor: float) -> None:
-        self._T1, self._T1_into, self._shift = T1, _into(T1[:, :, ::-1].copy()), shift
+        self._T1, self._shift = T1, shift
         self.floor, self.n, self.offset, self.lost_mass = floor, n, 0, 0.0
         self._cols = [np.array(window[:, s], dtype=np.float64) for s in range(len(T1))]
         self._mass = sum(self._cols[1:], self._cols[0])  # the mass of each index
         self.block = _block_steps(T1.shape[2])
-        self._powers = self._steps = None  # built by the first block
+        self._powers = self._Tj = None  # built by the first block
 
     @property
     def probs(self) -> np.ndarray:
@@ -441,8 +418,7 @@ class RunningConvolution:
         # window up with the reversed polynomials
         k = targets - self.offset - self._shift * np.arange(1, r + 1)
         padded = np.zeros((size + 2 * (width - 1), states))
-        for s, col in enumerate(self._cols):
-            padded[width - 1: width - 1 + size, s] = col
+        padded[width - 1: width - 1 + size] = self.probs
         inside = np.flatnonzero((k >= 0) & (k <= size + width - 2))
         out = np.zeros(r)
         rows = np.lib.stride_tricks.sliding_window_view(padded.reshape(-1), states * width)
@@ -454,29 +430,26 @@ class RunningConvolution:
 
     def _moved(self, r: int) -> list:
         """The window's columns after r more steps, untrimmed: sum_s window[:, s] T_r[s, t]."""
-        into = self._steps[r - 1] if r > 1 else self._T1_into  # a step needs no power table
-        return [_column(self._cols, polys) for polys in into]
+        T = self._T1 if r == 1 else self._Tj[r - 1, :, :, : r * (self._T1.shape[2] - 1) + 1]
+        return [_column(self._cols, T[:, t]) for t in range(len(T))]
 
     def _power_table(self) -> np.ndarray:
-        # T_j = T_{j-1} T1, built in long double and rounded once: _steps[j - 1] is _into(T_j
-        # reversed), and row j - 1 of the gather table is sum_t T_j[s, t], reversed, the states
-        # of a degree side by side.  The 1e-13 agreement with the one-step loops needs the 80-bit
-        # long double of x86-64; where it is float64 (MSVC, macOS on arm64), Bernoulli(0.2) at
-        # N = 8e4 is 2.3e-13 off, as float64 powers round at each of their j - 1 products.
+        # T_j = T_{j-1} T1, chained in long double and rounded once into _Tj[j - 1] (a single
+        # step reads T1 instead); row j - 1 of the gather table is sum_t T_j[s, t], reversed, the
+        # states of a degree side by side.  The 1e-13 agreement with the one-step loops needs the
+        # 80-bit long double of x86-64; where it is float64 (MSVC, macOS on arm64), Bernoulli(0.2)
+        # at N = 8e4 is 2.3e-13 off, as float64 powers round at each of their j - 1 products.
         if self._powers is None:
             b, (S, _, w) = self.block, self._T1.shape
             T = np.zeros((b, S, S, b * (w - 1) + 1), dtype=np.longdouble)
             T[0, :, :, :w] = self._T1
-            into = _into(T[0, :, :, w - 1::-1])
             for j in range(1, b):
                 size = j * (w - 1) + 1
                 for s in range(S):
-                    for t, polys in enumerate(into):
-                        T[j, s, t, : size + w - 1] = _column(T[j - 1, s, :, :size], polys)
-            rev = T[:, :, :, ::-1].astype(np.float64)  # T_j is the last j (w - 1) + 1 entries
-            self._steps = [_into(rev[j, :, :, -(j + 1) * (w - 1) - 1:]) for j in range(b)]
-            gather = sum([T[:, :, t] for t in range(1, S)], T[:, :, 0])  # (j, s, degree)
-            gather = gather[:, :, ::-1].transpose(0, 2, 1)  # (j, reversed degree, s)
+                    for t in range(S):
+                        T[j, s, t, : size + w - 1] = _column(T[j - 1, s, :, :size], T[0, :, t, :w])
+            self._Tj = T.astype(np.float64)
+            gather = T.sum(axis=2)[:, :, ::-1].transpose(0, 2, 1)  # (j, reversed degree, s)
             self._powers = np.ascontiguousarray(gather, dtype=np.float64).reshape(b, -1)
         return self._powers
 
@@ -487,23 +460,10 @@ class RunningConvolution:
         whatever their mass; a window with no index at the floor is kept whole.
         """
         mass = sum(cols[1:], cols[0])
-        size, floor = len(mass), self.floor
-        # up to _EDGE atoms per edge are read one by one, from outside in; fewer than _EDGE
-        # are added left to right, as numpy adds so few
-        edge, lo, cut, left, right = min(size, _EDGE), 0, 0, 0.0, []
-        while lo < edge and (v := mass.item(lo)) < floor:
-            left += v
-            lo += 1
-        while cut < edge and (v := mass.item(-1 - cut)) < floor:
-            right.append(v)
-            cut += 1
-        if lo < edge and cut < edge:
-            lost = left + _sum_in_order(reversed(right))
-        else:
-            lo, cut = _scan_in(mass, floor), _scan_in(mass[::-1], floor)
-            lost = mass[:lo].sum() + mass[size - cut:].sum()
+        size = len(mass)
+        lo, cut = _scan_in(mass, self.floor), _scan_in(mass[::-1], self.floor)
         if lo < size - cut and (lo > 0 or cut > 0):
-            self.lost_mass += float(lost)
+            self.lost_mass += float(mass[:lo].sum() + mass[size - cut:].sum())
             cols, mass = [c[lo:size - cut] for c in cols], mass[lo:size - cut]
             self.offset += lo
         self._cols, self._mass = cols, mass
@@ -546,13 +506,27 @@ def _visit_tables(P: np.ndarray, start: tuple[float, float], N: int):
         yield table[: rows + 1]
 
 
-def _lattice_cdf_pairs(law: SumLawTable, center: float, scale: float):
-    """Normalised atom positions with CDF values just below and at each atom."""
-    supp, masses = law.atoms()
-    x = (law.points(supp) - center) / scale
-    cdf = np.cumsum(masses)
-    below = np.concatenate(([0.0], cdf[:-1]))
-    return x, below, cdf
+def _step_cdf(masses: np.ndarray, x=None, grid=None) -> tuple:
+    """(F just below, F at) each atom, or each grid point, of the step CDF F of ``masses``.
+
+    A grid needs ``x``, the increasing points of the atoms.
+    """
+    cdf = np.concatenate(([0.0], np.cumsum(masses)))
+    if grid is None:
+        return cdf[:-1], cdf[1:]
+    return cdf[np.searchsorted(x, grid, "left")], cdf[np.searchsorted(x, grid, "right")]
+
+
+def _kolmogorov(masses: np.ndarray, G: tuple, x=None, grid=None) -> float:
+    """sup_u |F(u) - G(u)| for the step CDF F of ``masses`` and a CDF G.
+
+    ``G`` is the pair (G just below, G at) each atom of F or, given ``grid`` and the
+    increasing atom points ``x``, each grid point; the grid holds x and every jump of G.
+    Between these points F is flat and G monotone, so the supremum is approached at one
+    of them from one side or the other.
+    """
+    below, at = _step_cdf(masses, x, grid)
+    return float(np.max(np.maximum(np.abs(below - G[0]), np.abs(at - G[1]))))
 
 
 def sup_cdf_distance(law: SumLawTable, center: Optional[float] = None,
@@ -575,23 +549,17 @@ def sup_cdf_distance(law: SumLawTable, center: Optional[float] = None,
         raise DegenerateLawError(f"scale must be finite and positive, got {scale!r}")
     from scipy.special import ndtr
 
-    x, below, at = _lattice_cdf_pairs(law, center, scale)
-    g = ndtr(x)
-    return float(np.max(np.maximum(np.abs(below - g), np.abs(at - g))))
+    supp, masses = law.atoms()
+    g = ndtr((law.points(supp) - center) / scale)
+    return _kolmogorov(masses, (g, g))
 
 
 def lattice_cdf_sup_distance(a: SumLawTable, b: SumLawTable) -> float:
     """sup_x |F_a(x) - F_b(x)| for two lattice laws on the same value scale."""
-    supp_a, ma = a.atoms()
-    supp_b, mb = b.atoms()
-    xa = a.points(supp_a)
-    xb = b.points(supp_b)
+    (supp_a, ma), (supp_b, mb) = a.atoms(), b.atoms()
+    xa, xb = a.points(supp_a), b.points(supp_b)
     grid = np.union1d(xa, xb)
-    ca = np.cumsum(ma)
-    cb = np.cumsum(mb)
-    fa = np.concatenate(([0.0], ca))[np.searchsorted(xa, grid, side="right")]
-    fb = np.concatenate(([0.0], cb))[np.searchsorted(xb, grid, side="right")]
-    return float(np.max(np.abs(fa - fb)))
+    return _kolmogorov(ma, _step_cdf(mb, xb, grid), xa, grid)
 
 
 def residues_mod(law: LatticeWindow, h: int) -> np.ndarray:

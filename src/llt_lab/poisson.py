@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError
-from .exact import SumLawTable, _convolve, weighted_sum_law
+from .exact import SumLawTable, _convolve, _kolmogorov, _step_cdf, weighted_sum_law
 from .lattice import MAX_WINDOW, LatticeWindow, write_csv
 
 #: Poisson tails are truncated where the remaining mass drops below this
@@ -73,7 +73,7 @@ def d0_distance(law_a, law_b) -> float:
 def cdf_sup_distance(law_a, law_b) -> float:
     """CDF-sup disparity sup_u |P{X<=u} - P{Y<=u}| on the integers."""
     a, b = _aligned(law_a, law_b)
-    return float(np.abs(np.cumsum(a) - np.cumsum(b)).max())
+    return _kolmogorov(a, _step_cdf(b))
 
 
 def set_sup_distance(law_a, law_b, window: int) -> float:

@@ -404,3 +404,15 @@ def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch):
     assert main(["asllt", "--kind", "ce", "--dist", "lazy", "--N", "100000", "--seeds", "0:4",
                  "--out", str(tmp_path / "missing")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "LltLabError"
+
+
+@pytest.mark.parametrize("spec", ["power_tail:1.5,1,junk", "power_tail:1.5,1,2"])
+def test_power_tail_with_extra_fields_exits_2_naming_the_spec(tmp_path, capsys, spec):
+    from llt_lab.errors import LltLabError
+
+    with pytest.raises(LltLabError, match="power_tail takes alpha"):
+        parse_dist(spec)
+    assert run_cli(["characteristics", "--dist", spec], tmp_path) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "LltLabError" and spec in err["detail"]
+    assert list(tmp_path.iterdir()) == []

@@ -5,11 +5,19 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from llt_lab.asllt import KappaRule, asllt_expectation, dickman_expectation, dickman_rho
+from llt_lab.asllt import (
+    KappaRule,
+    TwoStateChain,
+    asllt_expectation,
+    dickman_expectation,
+    dickman_rho,
+)
 from llt_lab.errors import PreconditionError
 from llt_lab.exact import (
     RunningConvolution,
+    TransferConvolution,
     _convolve,
+    _visit_tables,
     convolve_tables,
     joint_law,
     lattice_cdf_sup_distance,
@@ -19,7 +27,14 @@ from llt_lab.exact import (
     weighted_sum_law,
 )
 from llt_lab.gen import random_pmf, seeded
-from llt_lab.lattice import LatticePmf, bernoulli, point_mass, power_tail, uniform_range
+from llt_lab.lattice import (
+    LatticePmf,
+    bernoulli,
+    lazy_walk,
+    point_mass,
+    power_tail,
+    uniform_range,
+)
 
 
 def test_sum_law_binomial_point():
@@ -411,6 +426,64 @@ def test_running_convolution_trims_edges_like_the_reference():
     first = RunningConvolution(wide)
     first.step()
     assert (first.offset, len(first.probs)) == (-1, 3)
+
+
+class _PowerRun:
+    """Reference block move: T_j = T_{j-1} T1 by np.convolve in long double, rounded once;
+    the window moves by T_r and is trimmed at flatnonzero(mass >= floor)."""
+
+    def __init__(self, T1, shift, window, floor, block):
+        S = len(T1)
+        self.T, self.shift, self.floor = [T1.astype(np.longdouble)], shift, floor
+        self.offset, self.probs, self.lost_mass = 0, np.array(window, dtype=np.float64), 0.0
+        for _ in range(1, block):
+            prev, one = self.T[-1], self.T[0]
+            self.T.append(np.array([[sum(np.convolve(prev[s, u], one[u, t]) for u in range(S))
+                                     for t in range(S)] for s in range(S)]))
+
+    def advance(self, r):
+        T = self.T[r - 1].astype(np.float64)
+        S = len(T)
+        self.probs = np.stack([sum(np.convolve(self.probs[:, s], T[s, t]) for s in range(S))
+                               for t in range(S)], axis=1)
+        self.offset += r * self.shift
+        mass = self.probs.sum(axis=1)
+        keep = np.flatnonzero(mass >= self.floor)
+        if len(keep) and (keep[0] > 0 or keep[-1] < len(mass) - 1):
+            lo, hi = keep[0], keep[-1]
+            self.lost_mass += float(mass[:lo].sum() + mass[hi + 1:].sum())
+            self.probs = self.probs[lo:hi + 1].copy()
+            self.offset += int(lo)
+
+
+def _block_models():
+    for name, p in (("bernoulli(0.2)", bernoulli(0.2)), ("lazy", lazy_walk()),
+                    ("uniform(0, 4)", uniform_range(0, 4))):
+        yield name, lambda p=p: RunningConvolution(p), (p.dense[None, None], p.offset, [[1.0]])
+    P = TwoStateChain(0.3, 0.6).transition()
+    *_, table = _visit_tables(P, TwoStateChain(0.3, 0.6).pi, 40)
+    T1 = np.zeros((2, 2, 2))
+    for s, t in itertools.product(range(2), repeat=2):
+        T1[s, t, t] = P[s, t]  # a step into state 1 adds a one
+    yield "chain(0.3, 0.6)", lambda: TransferConvolution(P, table, 40), (T1, 0, table.copy())
+
+
+@pytest.mark.parametrize("name,make,start", [pytest.param(*m, id=m[0]) for m in _block_models()])
+def test_advance_matches_a_long_double_power_reference_bit_for_bit(name, make, start):
+    run = make()
+    ref = _PowerRun(*start, run.floor, run.block)
+    B = run.block
+    # full blocks, partial blocks and single steps, far enough for both edges to be trimmed
+    for r in [B] * 8 + [B // 2 - 3, 1, 7, B, 3, B - 1] + [B] * 6:
+        if r == 1:
+            run.step()
+        else:
+            run.advance(np.zeros(r, dtype=np.int64))
+        ref.advance(r)
+        assert run.offset == ref.offset, (name, r)
+        assert run.probs.tobytes() == ref.probs.tobytes(), (name, r)
+        assert run.lost_mass == ref.lost_mass, (name, r)
+    assert run.lost_mass > 0.0 and ref.offset > start[1] * run.n  # the low edge was trimmed
 
 
 def test_asllt_expectation_matches_per_step_targets():

@@ -6,7 +6,8 @@ import pytest
 
 from llt_lab import poisson as ps
 from llt_lab.errors import PreconditionError
-from llt_lab.gen import seeded
+from llt_lab.exact import lattice_cdf_sup_distance, sum_law
+from llt_lab.gen import random_pmf, seeded
 
 
 def binom2_pmf(p):
@@ -295,3 +296,12 @@ def test_convolve_laws_checks_each_product_against_the_budget(monkeypatch):
             ps.convolve_laws(laws + more)
     with pytest.raises(ResourceLimitError):  # a raw array past the budget on its own
         ps.convolve_laws([np.full(100, 0.01)])
+
+
+def test_the_two_kolmogorov_distances_agree_bit_for_bit():
+    rng = seeded(29)
+    for _ in range(50):
+        a, b = (sum_law(random_pmf(rng, span=int(rng.integers(1, 3))), int(rng.integers(1, 30)))
+                for _ in range(2))
+        assert ps.cdf_sup_distance(a, b).hex() == lattice_cdf_sup_distance(a, b).hex()
+        assert ps.cdf_sup_distance(b, a).hex() == lattice_cdf_sup_distance(b, a).hex()
