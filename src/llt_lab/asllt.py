@@ -645,8 +645,8 @@ def dickman_rho(u_max: float = 20.0, step: float = 1.0 / 1024.0) -> DickmanRho:
 
 def dickman_sum_law(n: int, max_value: Optional[int] = None):
     """Law of T_n = sum k Z_k with Z_k ~ Bernoulli(1/k), k = 1..n."""
-    return weighted_sum_law(range(1, n + 1), [1.0 / k for k in range(1, n + 1)],
-                            max_value=max_value)
+    k = np.arange(1, n + 1)
+    return weighted_sum_law(k, 1.0 / k, max_value=max_value)
 
 
 def _round_half_up(x: float, n, out: np.ndarray) -> np.ndarray:
@@ -697,25 +697,15 @@ def dickman_strong_llt(n: int, rho: DickmanRho) -> float:
     terms left out are the masses there, which total the capped table's
     ``beyond_mass``: at most 3e-51 for n <= 3000, far below the last bit of
     the sum (0.0031 at n = 1000).  The terms up to the cap are those of the
-    full law.  A sum past ``MAX_WINDOW`` terms (n >= 11585) raises at once.
+    full law; the table is zero-padded only up to ceil(n u_max), where rho is
+    still positive.  The DP's window of cap + 1 values is the one memory budget.
     """
     _require_horizon(n, 2)
     edge = int(math.ceil(n * rho.u_max))
-    hi = max(n * (n + 1) // 2, edge)
-    if hi + 1 > MAX_WINDOW:  # the gap array below, before the DP
-        raise ResourceLimitError(f"a gap array of {hi + 1} entries exceeds memory budget")
     law = dickman_sum_law(n, max_value=max(edge, 30 * n))
-    # past the last positive atom and past n u_max both terms are 0.0: the gaps are evaluated
-    # up to there, and the zeros up to hi keep the pairwise grouping of the full-range sum
-    top = max(law.offset + int(np.flatnonzero(law.dense)[-1]), edge)
-    kappa = np.arange(0, top + 1)
-    probs = np.zeros(top + 1)
-    dense = law.dense[: top + 1 - law.offset]
-    probs[law.offset: law.offset + len(dense)] = dense
-    limit = math.exp(-EULER_GAMMA) / n * rho(kappa / n)
-    gaps = np.zeros(hi + 1)
-    np.abs(probs - limit, out=gaps[: top + 1])
-    return float(gaps.sum())
+    probs = np.pad(law.dense, (0, max(edge + 1 - len(law.dense), 0)))
+    limit = math.exp(-EULER_GAMMA) / n * rho(np.arange(len(probs)) / n)
+    return float(np.abs(probs - limit).sum())
 
 
 def asllt_dickman_paths(N: int, seeds: Sequence[int], rho: DickmanRho, x: float = 1.0) -> list:

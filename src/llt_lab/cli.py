@@ -29,6 +29,24 @@ from .rng import worker_count
 from .suites import run_suite
 
 
+#: inline family -> (constructor, the form of its argument)
+_FAMILIES = {"bernoulli": (bernoulli, "p"), "uniform": (uniform_range, "a..b"),
+             "power_tail": (power_tail, "alpha[,c]")}
+
+
+def _family_args(name: str, arg: str) -> tuple:
+    """The constructor's arguments; ValueError if ``arg`` is not of the family's form."""
+    if name == "bernoulli":
+        return (float(arg),)
+    if name == "uniform":
+        a, _, b = arg.partition("..")
+        return int(a), int(b)
+    alpha, *c = arg.split(",")
+    if len(c) > 1:
+        raise ValueError(arg)
+    return (float(alpha), *map(float, c))
+
+
 def parse_dist(spec: str) -> LatticePmf:
     """Inline family (bernoulli:p, uniform:a..b, coin, lazy, power_tail:a[,c]) or JSON path."""
     if spec == "coin":
@@ -37,17 +55,14 @@ def parse_dist(spec: str) -> LatticePmf:
         return lazy_walk()
     if ":" in spec:
         name, _, arg = spec.partition(":")
-        if name == "bernoulli":
-            return bernoulli(float(arg))
-        if name == "uniform":
-            a, _, b = arg.partition("..")
-            return uniform_range(int(a), int(b))
-        if name == "power_tail":
-            alpha, *c = arg.split(",")
-            if len(c) > 1:
-                raise LltLabError(f"{spec!r}: power_tail takes alpha[,c]")
-            return power_tail(float(alpha), c=float(c[0]) if c else 1.0)
-        raise LltLabError(f"unknown family {name!r}")
+        if name not in _FAMILIES:
+            raise LltLabError(f"unknown family {name!r}")
+        make, form = _FAMILIES[name]
+        try:
+            args = _family_args(name, arg)
+        except ValueError:  # the constructor's own errors keep their types
+            raise LltLabError(f"{spec!r}: {name} takes {form}") from None
+        return make(*args)
     path = Path(spec)
     if not path.exists():
         raise LltLabError(f"distribution spec not found: {spec}")

@@ -41,7 +41,7 @@ class SumLawTable(LatticeWindow):
     ``beyond_mass`` is the mass pushed past an explicit support cap (only
     possible for laws on nonnegative indices, where it can never flow back
     into the window).  Like ``LatticePmf``, a table compares and hashes by
-    identity, so memoised functions accept it.
+    identity, so memoised functions accept it, and its mass array is read-only.
     """
 
     n: int
@@ -52,6 +52,11 @@ class SumLawTable(LatticeWindow):
     meta: MomentSummary
     lost_mass: float = 0.0
     beyond_mass: float = 0.0
+
+    def __post_init__(self):
+        if self.dense.base is not None:  # a view of the law or of a wider array: keep the window
+            object.__setattr__(self, "dense", self.dense.copy())
+        self.dense.flags.writeable = False
 
     @property
     def probs(self) -> np.ndarray:
@@ -135,7 +140,7 @@ def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
     ``method`` is "auto", "direct" or "fft".
 
     The last few results are reused: a call with the same law object and
-    arguments returns the same table, whose mass array is read-only.
+    arguments returns the same table.
     """
     if n < 1:
         raise PreconditionError("sum_law requires n >= 1")
@@ -150,9 +155,6 @@ def sum_law(p: LatticePmf, n: int, max_index: Optional[int] = None,
     # window masses are exact under a cap, so the pushed-out mass is the
     # conservation deficit (intermediate caps do not track descendants)
     beyond = max(0.0, 1.0 - float(acc.sum()) - lost) if max_index is not None else 0.0
-    if acc.base is not None:  # a view of the law or of a wider product: keep only the window
-        acc = acc.copy()
-    acc.flags.writeable = False
     mom = moments(p)
     meta = MomentSummary(
         mu=None if mom.mu is None else n * mom.mu,
@@ -277,14 +279,17 @@ def weighted_sum_law(weights: Sequence[int], probs: Sequence[float],
     (increments are nonnegative, so capped values are exact and the mass that
     moved past the cap is reported as beyond_mass).
     """
-    a = [int(x) for x in weights]
-    q = [float(x) for x in probs]
-    if len(a) != len(q):
-        raise PreconditionError("weights and probs must have equal length")
-    if any(x < 0 for x in a):
-        raise PreconditionError("weights a_k must be nonnegative integers")
-    if any(not 0.0 <= x <= 1.0 for x in q):
+    af, qf = np.asarray(weights, dtype=np.float64), np.asarray(probs, dtype=np.float64)
+    if af.ndim != 1 or af.shape != qf.shape:
+        raise PreconditionError("weights and probs must be sequences of equal length")
+    bad = np.flatnonzero(~((af >= 0) & (af < 2.0 ** 63) & (af == np.floor(af))))  # NaN too
+    if len(bad):
+        k = int(bad[0])
+        raise PreconditionError(f"weights a_k must be nonnegative integers below 2**63; "
+                                f"got weights[{k}] = {float(af[k])!r}")
+    if not np.all((qf >= 0.0) & (qf <= 1.0)):  # NaN fails too
         raise PreconditionError("probs q_k must lie in [0,1]")
+    a, q = af.astype(np.int64).tolist(), qf.tolist()
     top = sum(a)
     if max_value is not None:
         if max_value < 0:
@@ -298,10 +303,9 @@ def weighted_sum_law(weights: Sequence[int], probs: Sequence[float],
             # groups terms by the slice length
             beyond += float(dp.law[max(top - ak + 1, 0): dp.hi + 1].sum()) * qk
         dp.step(ak, qk)
-    af, qf = np.array(a, dtype=np.float64), np.array(q, dtype=np.float64)
     var = qf * (1 - qf)
     mu, s2, mu3 = float(af @ qf), float(af * af @ var), float(af ** 3 @ (var * (1 - 2 * qf)))
-    return SumLawTable(n=len(a), origin=0.0, D=1.0, offset=0, dense=dp.law[: dp.hi + 1].copy(),
+    return SumLawTable(n=len(a), origin=0.0, D=1.0, offset=0, dense=dp.law[: dp.hi + 1],
                        meta=MomentSummary(mu, s2, mu3), beyond_mass=beyond)
 
 

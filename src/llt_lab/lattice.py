@@ -4,7 +4,7 @@ A lattice pmf lives on the point set {v0 + k*D : k in Z} and is stored as
 one dense window of masses over the index range offset .. offset+len-1; the
 exact engine's sum tables share that form (``LatticeWindow``).  Laws are
 immutable: every ``LatticePmf`` window is a read-only array, and so is the
-mass array of every table that ``exact.sum_law`` returns (it may be shared
+mass array of every ``exact.SumLawTable`` (a ``sum_law`` table may be shared
 by several callers).  ``write_csv`` writes every CSV table of the package.
 """
 

@@ -93,7 +93,7 @@ def set_sup_distance(law_a, law_b, window: int) -> float:
 
 def poisson_binomial_law(ps: Sequence[float]) -> SumLawTable:
     """Exact law of a sum of independent Bernoulli(p_i)."""
-    return weighted_sum_law([1] * len(ps), list(ps))
+    return weighted_sum_law([1] * len(ps), ps)
 
 
 def lecam_bound(ps: Sequence[float]) -> float:

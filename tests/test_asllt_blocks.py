@@ -364,11 +364,26 @@ def _ref_strong(n, rho):
     return float(np.abs(probs - limit).sum())
 
 
-def test_dickman_strong_llt_is_bit_identical_to_the_full_range_sum():
+def _windowed_strong(n, rho):
+    """The sum over the window of the law capped at max(ceil(n u_max), 30 n), zero-padded
+    to ceil(n u_max)."""
+    edge = int(math.ceil(n * rho.u_max))
+    law = asl.dickman_sum_law(n, max_value=max(edge, 30 * n))
+    kappa = np.arange(0, max(len(law.dense) - 1, edge) + 1)
+    probs = np.zeros(len(kappa))
+    probs[: len(law.dense)] = law.dense
+    limit = math.exp(-EULER_GAMMA) / n * rho(kappa / n)
+    return float(np.abs(probs - limit).sum())
+
+
+def test_dickman_strong_llt_is_bit_identical_to_the_windowed_sum():
+    # the full-range sum groups its terms over 0..n(n+1)/2: the windowed one agrees to 1e-14
     for u_max in (4.0, 20.0):
         rho = asl.dickman_rho(u_max=u_max)
         for n in (2, 3, 10, 60, 200, 1000):
-            assert asl.dickman_strong_llt(n, rho).hex() == _ref_strong(n, rho).hex(), (u_max, n)
+            got = asl.dickman_strong_llt(n, rho)
+            assert got.hex() == _windowed_strong(n, rho).hex(), (u_max, n)
+            assert got == pytest.approx(_ref_strong(n, rho), rel=1e-14, abs=0), (u_max, n)
 
 
 def test_dickman_strong_llt_stops_at_the_cap_bit_for_bit():
@@ -385,29 +400,47 @@ def test_dickman_strong_llt_stops_at_the_cap_bit_for_bit():
             probs[: len(full.dense)] = full.dense
             limit = math.exp(-EULER_GAMMA) / n * rho(kappa / n)
             want = float(np.abs(probs - limit).sum())
-            assert asl.dickman_strong_llt(n, rho).hex() == want.hex(), (n, u_max)
+            got = asl.dickman_strong_llt(n, rho)
+            assert got.hex() == _windowed_strong(n, rho).hex(), (n, u_max)
+            assert got == pytest.approx(want, rel=1e-14, abs=0), (n, u_max)
 
 
 def test_dickman_strong_llt_past_the_budget_raises_before_the_dp(monkeypatch):
+    from llt_lab import exact
     from llt_lab.errors import ResourceLimitError
 
     rho = asl.dickman_rho()
 
-    def no_dp(*args, **kwargs):
-        raise AssertionError("the DP ran")
+    def no_step(*args, **kwargs):
+        raise AssertionError("the DP took a step")
 
-    # n = 11,585 needs a gap array of n (n + 1) / 2 + 1 = 67,111,906 > 2^26 entries
-    monkeypatch.setattr(asl, "dickman_sum_law", no_dp)
+    # n = 101 needs a DP window of 30 n + 1 = 3,031 > 3,001 values
+    monkeypatch.setattr(exact, "MAX_WINDOW", 30 * 100 + 1)
+    monkeypatch.setattr(exact._WeightedDP, "step", no_step)
     with pytest.raises(ResourceLimitError):
-        asl.dickman_strong_llt(11_585, rho)
+        asl.dickman_strong_llt(101, rho)
 
 
 def test_dickman_strong_llt_budget_boundary(monkeypatch):
+    from llt_lab import exact
     from llt_lab.errors import ResourceLimitError
 
     rho = asl.dickman_rho()
     inside = asl.dickman_strong_llt(100, rho)
-    monkeypatch.setattr(asl, "MAX_WINDOW", 100 * 101 // 2 + 1)  # the gap array of n = 100
+    monkeypatch.setattr(exact, "MAX_WINDOW", 30 * 100 + 1)  # the DP window of n = 100
     assert asl.dickman_strong_llt(100, rho).hex() == inside.hex()
     with pytest.raises(ResourceLimitError):
         asl.dickman_strong_llt(101, rho)
+
+
+def test_dickman_strong_llt_at_n_3000_peaks_below_16_mb():
+    import tracemalloc
+
+    rho = asl.dickman_rho()
+    tracemalloc.start()
+    try:
+        asl.dickman_strong_llt(3000, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak

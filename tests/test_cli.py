@@ -416,3 +416,15 @@ def test_power_tail_with_extra_fields_exits_2_naming_the_spec(tmp_path, capsys, 
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "LltLabError" and spec in err["detail"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec, form", [("uniform:3", "uniform takes a..b"),
+                                        ("uniform:0..5,9", "uniform takes a..b"),
+                                        ("bernoulli:0.5,1", "bernoulli takes p"),
+                                        ("power_tail:abc", "power_tail takes alpha[,c]")])
+def test_malformed_inline_spec_exits_2_naming_the_spec_and_form(tmp_path, capsys, spec, form):
+    assert run_cli(["sum-law", "--dist", spec, "--N", "2"], tmp_path) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "LltLabError"
+    assert spec in err["detail"] and form in err["detail"]
+    assert list(tmp_path.iterdir()) == []

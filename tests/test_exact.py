@@ -533,6 +533,33 @@ def test_law_arrays_are_read_only():
     assert capped.dense.base is None  # the capped window does not hold the whole product
 
 
+def test_sum_tables_of_every_builder_are_read_only_windows():
+    from llt_lab.asllt import dickman_sum_law
+    from llt_lab.poisson import poisson_binomial_law
+
+    wide = sum_law(uniform_range(0, 5000), 1)
+    tables = [weighted_sum_law([1, 2, 3], [0.5, 0.2, 0.9], max_value=4),
+              convolve_tables(sum_law(bernoulli(0.3), 5), sum_law(bernoulli(0.3), 7)),
+              convolve_tables(wide, wide),  # an FFT product, cut from a wider transform
+              poisson_binomial_law([0.1, 0.4, 0.25]),
+              dickman_sum_law(50, max_value=200)]
+    for t in tables:
+        assert t.dense.base is None  # the window alone, holding no wider array
+        with pytest.raises(ValueError):
+            t.dense[0] = 0.5
+
+
+@pytest.mark.parametrize("bad", [2.7, -1.0, math.inf, math.nan])
+def test_weighted_sum_law_names_a_bad_weight(bad):
+    with pytest.raises(PreconditionError, match=rf"weights\[1\] = {bad!r}$"):
+        weighted_sum_law([3, bad, 1], [0.5, 0.5, 0.5])
+    with pytest.raises(PreconditionError, match="equal length"):
+        weighted_sum_law([3, 1], [0.5])
+    # an integral float is that integer
+    want = weighted_sum_law([2, 1], [0.5, 0.25]).dense
+    assert weighted_sum_law([2.0, 1], [0.5, 0.25]).dense.tobytes() == want.tobytes()
+
+
 def test_repeated_sum_law_is_bytes_equal():
     rng = seeded(41)
     for p in [bernoulli(0.3), uniform_range(-2, 3)] + [random_pmf(rng) for _ in range(4)]:
