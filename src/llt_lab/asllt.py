@@ -167,18 +167,18 @@ def _log_average(terms: np.ndarray, N: int, norm: Optional[np.ndarray] = None) -
 def _seed_pool(kind: str, target: float, N: int, seeds: Sequence[int], draws, block) -> list:
     """Paths of one log-average hit estimator, one per seed, the seeds advancing block by block.
 
-    draws(rng) gives a seed's draw(u, out, *given): the walk's next len(u) increments into the
-    int64 array out, u being float scratch.  block(steps, n, x, y, k), with float scratch x, y
-    and int64 scratch k, gives the seed-free (targets, weights, level, *given) of the steps n:
-    a hit adds its weight, level is L_m (None for m) and given goes to every draw.  The walk is
-    summed into its own buffer (see _Running).
+    draws(rng) gives a seed's draw(u, out): the walk's next len(u) increments into the int64
+    array out, u being float scratch.  block(steps, n, x, y, k), with float scratch x, y and
+    int64 scratch k, gives the seed-free (targets, weights, level) of the steps n: a hit adds
+    its weight and level is L_m (None for m).  The walk is summed into its own buffer (see
+    _Running).
     """
     paths = [(draws(stream(seed)), _Running(), _LogAverage(N)) for seed in seeds]
     for steps, n, u, inc, walk, hit, x, y, k in _blocks(N, float, np.int64, np.int64, bool,
                                                          float, float, np.int64):
-        targets, weights, level, *given = block(steps, n, x, y, k)
+        targets, weights, level = block(steps, n, x, y, k)
         for draw, total, avg in paths:
-            total(draw(u, inc, *given), walk)
+            total(draw(u, inc), walk)
             hits = np.flatnonzero(np.equal(walk, targets, out=hit))
             avg.add(len(n), hits, weights[hits], level)
     return [PathEstimate(kind=kind, seed=seed, target=target, checkpoints=avg.checkpoints())
@@ -649,17 +649,10 @@ def dickman_sum_law(n: int, max_value: Optional[int] = None):
     return weighted_sum_law(k, 1.0 / k, max_value=max_value)
 
 
-def _round_half_up(x: float, n, out: np.ndarray) -> np.ndarray:
-    """floor(x n + 1/2) written into the float array out."""
-    np.multiply(x, n, out=out)
-    out += 0.5
-    return np.floor(out, out=out)
-
-
 def _dickman_index(x: float, n, least: float = 0.0):
     """The Dickman target round(x n) = floor(x n + 1/2) as int64, for a finite x >= least."""
-    t = _round_half_up(x, n, np.empty(np.shape(n)))
-    if not (least <= x and np.max(t) < 2.0 ** 63):  # NaN and inf fail too
+    t = np.floor(np.multiply(x, n) + 0.5)
+    if not (least <= x and np.max(t, initial=0.0) < 2.0 ** 63):  # NaN and inf fail too
         raise PreconditionError(f"round(x n) needs a finite x >= {least:g}, x n < 2**63; got {x!r}")
     return t.astype(np.int64)
 
@@ -710,19 +703,30 @@ def dickman_strong_llt(n: int, rho: DickmanRho) -> float:
 
 def asllt_dickman_paths(N: int, seeds: Sequence[int], rho: DickmanRho, x: float = 1.0) -> list:
     """Coupled paths of (1/log N) sum_{n<=N} 1{T_n = round(x n)}, one per seed; target
-    e^{-gamma} rho(x)."""
+    e^{-gamma} rho(x).  Only the success times are drawn, O(log N) per path: Z_1 = 1, and the
+    success after m is K = floor(m/U) + 1 with U = 1 - rng.random() on (0, 1], as
+    P{K > k} = m/k.  T_n is t on [m, K) and round(x n) increases, so the stretch's hits are
+    among the three n from floor((t - 1/2)/x) - 1."""
     _require_horizon(N, 4)
-    _dickman_index(x, N, least=1.0)  # x >= 1: round(x n) increases, so n = N is the largest
+    top = int(_dickman_index(x, N, least=1.0))  # x >= 1: the largest target is round(x N)
+    if x * N >= 2.0 ** 53:
+        raise ResourceLimitError(f"x N = {x * N:g} reaches 2**53: targets past exact floats")
     _require_tabulated(rho, x)
-
-    def draws(rng):  # a seed's increments n Z_n of T_n, Z_n ~ Bernoulli(1/n)
-        return lambda u, out, n, f: np.multiply(n, rng.random(out=u) < f, out=out,
-                                                casting="unsafe")
-
-    def block(steps, n, f, _, k):
-        np.copyto(k, _round_half_up(x, n, f), casting="unsafe")
-        return k, np.broadcast_to(1.0, n.shape), None, n, np.divide(1.0, n, out=f)
-    return _seed_pool("dickman", math.exp(-EULER_GAMMA) * float(rho(x)), N, seeds, draws, block)
+    target, out = math.exp(-EULER_GAMMA) * float(rho(x)), []
+    for seed in seeds:
+        rng, times, t = stream(seed), [1], 1
+        while times[-1] <= N and t <= top:  # past top, T_n stays above every target
+            times.append(min(math.floor(times[-1] / (1.0 - rng.random())) + 1, N + 1))
+            t += times[-1]
+        s = np.array(times)
+        T = np.cumsum(s[:-1])  # T_n on the stretch [s[i], s[i + 1])
+        n = np.floor((T - 0.5) / x)[:, None] + (-1.0, 0.0, 1.0)
+        hit = (_dickman_index(x, n) == T[:, None]) & (n >= s[:-1, None]) & (n < s[1:, None])
+        avg = _LogAverage(N)
+        avg.add(N, n[hit].astype(np.int64) - 1, np.ones(np.count_nonzero(hit)))
+        out.append(PathEstimate(kind="dickman", seed=seed, target=target,
+                                checkpoints=avg.checkpoints()))
+    return out
 
 
 def asllt_dickman_path(N: int, seed: int, rho: DickmanRho, x: float = 1.0) -> PathEstimate:

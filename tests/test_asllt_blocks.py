@@ -78,8 +78,13 @@ def _ref_markov(chain, kappa, N, seed):
 
 
 def _ref_dickman(N, seed, x):
+    # the path's own draws, the success times m -> floor(m / (1 - u)) + 1, evaluated at every n
+    rng, z, m = stream(seed), np.zeros(N + 1), 1
+    while m <= N:
+        z[m] = 1.0
+        m = math.floor(m / (1.0 - rng.random())) + 1
     k = np.arange(1, N + 1)
-    t = np.cumsum(k * (stream(seed).random(N) < 1.0 / k))
+    t = np.cumsum(k * z[1:])
     return _ref_log_average((t == np.floor(x * k + 0.5).astype(np.int64)).astype(np.float64), N)
 
 

@@ -19,9 +19,14 @@ def rho():
     return asl.dickman_rho(u_max=4.0)
 
 
-def _old_path_checkpoints(N, seed, x):
+def _dense_path_checkpoints(N, seed, x):
+    # the path's own draws, the success times m -> floor(m / (1 - u)) + 1, evaluated at every n
+    rng, z, m = stream(seed), np.zeros(N + 1), 1
+    while m <= N:
+        z[m] = 1.0
+        m = math.floor(m / (1.0 - rng.random())) + 1
     k = np.arange(1, N + 1)
-    t = np.cumsum(k * (stream(seed).random(N) < 1.0 / k))
+    t = np.cumsum(k * z[1:])
     hits = (t == np.floor(x * k + 0.5).astype(np.int64)).astype(np.float64)
     return asl._log_average(hits, N)
 
@@ -55,7 +60,7 @@ def test_dickman_path_is_bit_identical_to_the_old_path(rho):
         for N in (4, 17, 1000, 4000):
             for seed in range(10):
                 got = asl.asllt_dickman_path(N, seed, rho, x=x).checkpoints
-                assert _bits(got) == _bits(_old_path_checkpoints(N, seed, x)), (x, N, seed)
+                assert _bits(got) == _bits(_dense_path_checkpoints(N, seed, x)), (x, N, seed)
 
 
 def test_dickman_expectation_is_bit_identical_to_the_old_loop():
