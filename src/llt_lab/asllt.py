@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError
-from .exact import (RunningConvolution, TransferConvolution, _series_exp, _visit_tables,
-                    _WeightedDP, sum_law, weighted_sum_law)
+from .exact import (RunningConvolution, TransferConvolution, _series_exp, _WeightedDP, sum_law,
+                    weighted_sum_law)
 from .lattice import (MASS_TOL, MAX_WINDOW, SQRT_2PI, LatticePmf, adjacent_overlap,
                       gaussian_scale, moments, write_csv)
 from .rng import stream
@@ -309,32 +309,21 @@ def asllt_expectation(p: LatticePmf, kappa: float, N: int) -> float:
 # -- the log-average hitting estimator with exact mass normalisation ---------------
 
 
-#: up to this horizon the exact expectation modes take one step per n, bit for bit as
-#: before; past it hit_mass_sequence advances in blocks and dickman_expectation (0 < x <= 1)
-#: reads one series
-_STEPWISE = 2048
-
-
 def hit_mass_sequence(p: LatticePmf, a_index, N: int) -> np.ndarray:
     """m_k = P{S_k = a_k} for k = 1..N, for one fixed level a or one target a_k per step.
 
-    The masses up to k = 2048 come from one step at a time; past that the walk
-    advances ``RunningConvolution.block`` steps at once, which agrees with the
-    single steps to about 1e-13 relative (the error grows with the number of blocks).
+    The walk advances ``RunningConvolution.block`` steps at once from k = 1; the
+    masses agree with one step at a time to about 1e-13 relative (the error
+    grows with the number of blocks).
     """
     _require_horizon(N, 0, MAX_WINDOW)
-    run = RunningConvolution(p)
-    targets = np.broadcast_to(a_index, (N,))
-    out = np.empty(N)
-    for k, target in enumerate(targets[:_STEPWISE].tolist()):
-        run.step()
-        out[k] = run.prob(target)
-    return _fill_in_blocks(run, targets, out)
+    return _fill_in_blocks(RunningConvolution(p), np.broadcast_to(a_index, (N,)))
 
 
-def _fill_in_blocks(run: RunningConvolution, targets, out: np.ndarray) -> np.ndarray:
-    """out[k] = P{index = targets[k] after step k + 1} for k >= run.n, ``run.block`` at a time."""
-    for lo in range(run.n, len(out), run.block):
+def _fill_in_blocks(run: RunningConvolution, targets) -> np.ndarray:
+    """out[k] = P{index = targets[k] after step k + 1}, ``run.block`` steps at a time from n = 0."""
+    out = np.empty(len(targets))
+    for lo in range(0, len(out), run.block):
         out[lo: lo + run.block] = run.advance(targets[lo: lo + run.block])
     return out
 
@@ -466,7 +455,17 @@ def markov_ones_pmf(chain: TwoStateChain, nu: int) -> np.ndarray:
         raise PreconditionError("markov_ones_pmf requires nu >= 0")
     if nu == 0:
         return np.array([1.0])
-    *_, table = _visit_tables(chain.transition(), chain.pi, nu)
+    if 2 * (nu + 1) > MAX_WINDOW:
+        raise ResourceLimitError(f"a transfer table of {nu} + 1 rows exceeds memory budget")
+    P = chain.transition()
+    # after step k, table[j, s] = P(j ones among xi_1..xi_k, xi_k = s), updated in place;
+    # the rows past k stay 0
+    table = np.zeros((nu + 1, 2))
+    table[0, 0], table[1, 1] = chain.pi
+    for k in range(2, nu + 1):
+        stay, move = table[:k] @ P[:, 0], table[:k] @ P[:, 1]
+        table[:k, 0] = stay
+        table[1: k + 1, 1] = move
     return table.sum(axis=1)
 
 
@@ -543,23 +542,15 @@ def markov_asllt_path(chain: TwoStateChain, kappa: float, N: int, seed: int) -> 
 def _markov_hit_masses(chain: TwoStateChain, targets: np.ndarray) -> np.ndarray:
     """P{t_nu ones among xi_1..xi_nu} for nu = 1..N, for the targets t_1..t_N.
 
-    Up to nu = 2048 each mass is a row sum of the untrimmed transfer table, one
-    step at a time; past that ``TransferConvolution`` advances in blocks, which
-    agree with the table to about 1e-13 relative.
+    ``TransferConvolution`` advances in blocks from the stationary start; the
+    masses agree with the untrimmed one-step table to about 1e-13 relative.
     """
-    N = len(targets)
-    m = np.zeros(N)  # 0 outside the table
-    P = chain.transition()
-    for i, (t, table) in enumerate(zip(targets[:_STEPWISE].tolist(),
-                                       _visit_tables(P, chain.pi, min(N, _STEPWISE)))):
-        if 0 <= t < table.shape[0]:
-            m[i] = table[t].sum()
-    return _fill_in_blocks(TransferConvolution(P, table, min(N, _STEPWISE)), targets, m)
+    return _fill_in_blocks(TransferConvolution(chain.transition(), chain.pi), targets)
 
 
 def markov_asllt_expectation(chain: TwoStateChain, kappa: float, N: int) -> float:
-    """Exact (1/log N) sum (sigma/sqrt(nu)) P{S_nu = kappa_nu} via the transfer table, in
-    blocks past nu = 2048 (see ``_markov_hit_masses``)."""
+    """Exact (1/log N) sum (sigma/sqrt(nu)) P{S_nu = kappa_nu}, in blocks of the transfer
+    kernel (see ``_markov_hit_masses``)."""
     _require_horizon(N, 2, MAX_WINDOW)
     nu = np.arange(1, N + 1)
     m = _markov_hit_masses(chain, markov_kappa_indices(chain, kappa, nu))
@@ -650,7 +641,12 @@ def dickman_sum_law(n: int, max_value: Optional[int] = None):
 
 
 def _dickman_index(x: float, n, least: float = 0.0):
-    """The Dickman target round(x n) = floor(x n + 1/2) as int64, for a finite x >= least."""
+    """The Dickman target round(x n) = floor(x n + 1/2) as int64, for a finite x >= least.
+
+    The rule is evaluated in floats.  From x n >= 2**52 the + 1/2 rounds half to even, so
+    the target is not round(x n) there and can repeat: n = 2**52 + 1 and 2**52 + 2 (x = 1)
+    both give 2**52 + 2.
+    """
     t = np.floor(np.multiply(x, n) + 0.5)
     if not (least <= x and np.max(t, initial=0.0) < 2.0 ** 63):  # NaN and inf fail too
         raise PreconditionError(f"round(x n) needs a finite x >= {least:g}, x n < 2**63; got {x!r}")
@@ -764,10 +760,10 @@ def _dickman_series(M: int) -> np.ndarray:
 def dickman_expectation(N: int, x: float, rho: Optional[DickmanRho] = None) -> float:
     """Exact (1/log N) sum_{n<=N} P{T_n = round(x n)}.
 
-    For 0 < x <= 1 and N > 2048 every term comes from one series,
-    P{T_n = m} = H_{m-1}/n (see ``_dickman_series``), in O(N log^2 N); its
-    terms agree with the DP's to 1e-13 relative.  Otherwise the law of T_n is
-    stepped by the weighted DP, O(N^2).  ``rho`` is ignored: the exact
+    For 0 < x <= 1 every term comes from one series, P{T_n = m} = H_{m-1}/n
+    (see ``_dickman_series``), in O(N log^2 N); its terms agree with the DP's
+    to 1e-13 relative.  For x > 1 and x = 0 the law of T_n is stepped by the
+    weighted DP, O(N^2).  ``rho`` is ignored: the exact
     expectation needs no Dickman table.  It is kept so that calls passing one
     still work.
     """
@@ -775,7 +771,7 @@ def dickman_expectation(N: int, x: float, rho: Optional[DickmanRho] = None) -> f
     n = np.arange(1, N + 1)
     targets = _dickman_index(x, n)
     m = np.zeros(N)  # P{T_n = round(x n)}
-    if 0.0 < x <= 1.0 and N > _STEPWISE:
+    if 0.0 < x <= 1.0:
         H = _dickman_series(int(targets[-1]))
         hit = np.flatnonzero(targets)  # T_n >= 1, so P{T_n = 0} = 0
         m[hit] = H[targets[hit] - 1] / n[hit]

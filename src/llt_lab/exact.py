@@ -352,6 +352,8 @@ def joint_law(p: LatticePmf, m: int, n: int) -> JointCell:
 _BLOCK_STEPS = 128
 #: ... and its table of the powers p^{*j}, j = 1..B, holds at most this many floats
 _BLOCK_CELLS = 2 ** 16
+#: a running law's edge indices below this mass are trimmed by default
+_RUN_FLOOR = 1e-30
 
 
 def _block_steps(width: int) -> int:
@@ -382,12 +384,12 @@ class RunningConvolution:
     summand, ``advance`` up to ``block`` of them at once.
     """
 
-    def __init__(self, p: LatticePmf, floor: float = 1e-30):
-        self._start(p.dense[None, None], p.offset, np.ones((1, 1)), 0, floor)
+    def __init__(self, p: LatticePmf, floor: float = _RUN_FLOOR):
+        self._start(p.dense[None, None], p.offset, np.ones((1, 1)), floor)
 
-    def _start(self, T1: np.ndarray, shift: int, window: np.ndarray, n: int, floor: float) -> None:
+    def _start(self, T1: np.ndarray, shift: int, window: np.ndarray, floor: float) -> None:
         self._T1, self._shift = T1, shift
-        self.floor, self.n, self.offset, self.lost_mass = floor, n, 0, 0.0
+        self.floor, self.n, self.offset, self.lost_mass = floor, 0, 0, 0.0
         self._cols = [np.array(window[:, s], dtype=np.float64) for s in range(len(T1))]
         self._mass = sum(self._cols[1:], self._cols[0])  # the mass of each index
         self.block = _block_steps(T1.shape[2])
@@ -442,7 +444,7 @@ class RunningConvolution:
         # step reads T1 instead); row j - 1 of the gather table is sum_t T_j[s, t], reversed, the
         # states of a degree side by side.  The 1e-13 agreement with the one-step loops needs the
         # 80-bit long double of x86-64; where it is float64 (MSVC, macOS on arm64), Bernoulli(0.2)
-        # at N = 8e4 is 2.3e-13 off, as float64 powers round at each of their j - 1 products.
+        # at N = 8e4 is 2.4e-13 off, as float64 powers round at each of their j - 1 products.
         if self._powers is None:
             b, (S, _, w) = self.block, self._T1.shape
             T = np.zeros((b, S, S, b * (w - 1) + 1), dtype=np.longdouble)
@@ -483,31 +485,14 @@ class RunningConvolution:
 class TransferConvolution(RunningConvolution):
     """Joint law of the number of ones among xi_1..xi_nu and the state xi_nu, on a 0/1 chain.
 
-    The two-state ``RunningConvolution``, started from a ``_visit_tables`` table
-    at nu: a step into state t adds t ones, so T1[s, t] = P[s, t] z^t.
+    The two-state ``RunningConvolution``, started at nu = 0 from the window
+    [start], the law of the state before xi_1: a step into state t adds t ones,
+    so T1[s, t] = P[s, t] z^t.  The stationary start gives xi_1 ~ pi.
     """
 
-    def __init__(self, P: np.ndarray, table: np.ndarray, nu: int, floor: float = 1e-30):
-        self._start(P[:, :, None] * np.eye(2), 0, table, nu, floor)  # T1[s, t, t] = P[s, t]
-
-
-def _visit_tables(P: np.ndarray, start: tuple[float, float], N: int):
-    """table[j, s] = P(j ones among xi_1..xi_nu, xi_nu = s) for nu = 1..N, on a 0/1 chain.
-
-    ``P`` is the transition matrix and ``start`` the law of xi_1.  Each yield
-    is a view of rows 0..nu of one preallocated table, which the next step
-    overwrites in place; table[0, 1] and the rows not yet reached stay 0.
-    """
-    if 2 * (max(N, 1) + 1) > MAX_WINDOW:
-        raise ResourceLimitError(f"a transfer table of {N} + 1 rows exceeds memory budget")
-    table = np.zeros((max(N, 1) + 1, 2))
-    table[0, 0], table[1, 1] = start
-    yield table[:2]
-    for rows in range(2, N + 1):
-        stay, move = table[:rows] @ P[:, 0], table[:rows] @ P[:, 1]
-        table[:rows, 0] = stay
-        table[1: rows + 1, 1] = move
-        yield table[: rows + 1]
+    def __init__(self, P: np.ndarray, start):
+        # T1[s, t, t] = P[s, t]
+        self._start(P[:, :, None] * np.eye(2), 0, np.array([start]), _RUN_FLOOR)
 
 
 def _step_cdf(masses: np.ndarray, x=None, grid=None) -> tuple:

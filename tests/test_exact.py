@@ -17,7 +17,6 @@ from llt_lab.exact import (
     RunningConvolution,
     TransferConvolution,
     _convolve,
-    _visit_tables,
     convolve_tables,
     joint_law,
     lattice_cdf_sup_distance,
@@ -359,8 +358,11 @@ def _reference_dickman_expectation(N, x):
 def test_dickman_expectation_bit_identical_to_reference_loop():
     rho = dickman_rho(u_max=4.0)
     for N in (2, 3, 17, 100, 300):
-        for x in (0.5, 1.0, 1.7, 3.0):
+        for x in (1.7, 3.0):
             assert dickman_expectation(N, x, rho) == _reference_dickman_expectation(N, x), (N, x)
+        for x in (0.5, 1.0):  # read from the Dickman series, which agrees to 1e-13
+            want = _reference_dickman_expectation(N, x)
+            assert abs(dickman_expectation(N, x, rho) - want) < 1e-13 * want, (N, x)
 
 
 class _FlatnonzeroRun:
@@ -460,12 +462,12 @@ def _block_models():
     for name, p in (("bernoulli(0.2)", bernoulli(0.2)), ("lazy", lazy_walk()),
                     ("uniform(0, 4)", uniform_range(0, 4))):
         yield name, lambda p=p: RunningConvolution(p), (p.dense[None, None], p.offset, [[1.0]])
-    P = TwoStateChain(0.3, 0.6).transition()
-    *_, table = _visit_tables(P, TwoStateChain(0.3, 0.6).pi, 40)
+    chain = TwoStateChain(0.3, 0.6)
+    P = chain.transition()
     T1 = np.zeros((2, 2, 2))
     for s, t in itertools.product(range(2), repeat=2):
         T1[s, t, t] = P[s, t]  # a step into state 1 adds a one
-    yield "chain(0.3, 0.6)", lambda: TransferConvolution(P, table, 40), (T1, 0, table.copy())
+    yield "chain(0.3, 0.6)", lambda: TransferConvolution(P, chain.pi), (T1, 0, [chain.pi])
 
 
 @pytest.mark.parametrize("name,make,start", [pytest.param(*m, id=m[0]) for m in _block_models()])
@@ -494,7 +496,8 @@ def test_asllt_expectation_matches_per_step_targets():
         for n in range(1, 2001):
             run.step()
             acc += run.prob(int(rule.index(n))) / math.sqrt(n)
-        assert asllt_expectation(p, kappa, 2000) == acc / math.log(2000)
+        want = acc / math.log(2000)
+        assert abs(asllt_expectation(p, kappa, 2000) - want) < 1e-13 * want
 
 
 def test_fft_convolution_bit_identical_to_scipy_signal():

@@ -1,11 +1,11 @@
 """The Markov expectation mode in blocks, against the one-step transfer table and Gabriel's formula.
 
-Up to nu = 2048 ``markov_asllt_expectation`` reads the untrimmed transfer
-table one step at a time, bit for bit as before; past that
-``TransferConvolution`` advances 128 steps per call on a window trimmed at
-1e-30.  The independent oracle is Gabriel's closed form for the number of
-successes in a two-state chain (K. R. Gabriel, Biometrika 46, 1959), summed
-over the number of runs of ones with exact integer run counts.
+``markov_asllt_expectation`` runs ``TransferConvolution`` from the
+stationary start, 128 steps per call on a window trimmed at 1e-30.  The
+reference is the untrimmed transfer table, one step per nu.  The
+independent oracle is Gabriel's closed form for the number of successes in
+a two-state chain (K. R. Gabriel, Biometrika 46, 1959), summed over the
+number of runs of ones with exact integer run counts.
 """
 
 import itertools
@@ -17,7 +17,7 @@ import pytest
 
 from llt_lab import asllt as asl
 from llt_lab.errors import ResourceLimitError
-from llt_lab.exact import RunningConvolution, TransferConvolution, _visit_tables
+from llt_lab.exact import RunningConvolution, TransferConvolution
 
 RTOL = 1e-13
 CHAINS = [(0.4, 0.5), (0.15, 0.85), (0.9, 0.05)]
@@ -83,10 +83,27 @@ def _spread(pmf, floor, count=20):
     return np.unique(np.linspace(above[0], above[-1], count).round().astype(np.int64))
 
 
+def _one_step_tables(chain, N):
+    """table[j, s] = P(j ones among xi_1..xi_nu, xi_nu = s) for nu = 1..N, from xi_1 ~ pi.
+
+    The untrimmed transfer table, one step per nu: each yield is a view of rows
+    0..nu of one table, which the next step overwrites in place.
+    """
+    P = chain.transition()
+    table = np.zeros((N + 1, 2))
+    table[0, 0], table[1, 1] = chain.pi
+    yield table[:2]
+    for rows in range(2, N + 1):
+        stay, move = table[:rows] @ P[:, 0], table[:rows] @ P[:, 1]
+        table[:rows, 0] = stay
+        table[1: rows + 1, 1] = move
+        yield table[: rows + 1]
+
+
 def _table_masses(chain, targets):
     """P{t_nu ones among xi_1..xi_nu} from the untrimmed table, one step per nu."""
     m = np.zeros(len(targets))
-    for i, table in enumerate(_visit_tables(chain.transition(), chain.pi, len(targets))):
+    for i, table in enumerate(_one_step_tables(chain, len(targets))):
         if 0 <= targets[i] < table.shape[0]:
             m[i] = table[targets[i]].sum()
     return m
@@ -118,9 +135,9 @@ def test_markov_ones_pmf_matches_gabriel_at_nu_5000():
     assert np.max(np.abs(pmf[ks] - want) / want) < 1e-12
 
 
-@pytest.mark.parametrize("nu, floor", [(2049, 1e-200), (5000, 1e-15)])
+@pytest.mark.parametrize("nu, floor", [(128, 1e-200), (5000, 1e-15)])
 def test_blocked_hit_masses_match_gabriel(nu, floor):
-    # at nu = 2049 the first block reads the untrimmed table.  Later blocks start from a
+    # up to nu = 128 the first block reads the untrimmed start.  Later blocks start from a
     # window trimmed at 1e-30, so an atom a few orders above that floor misses the trimmed
     # mass's share (3e-11 relative at 1e-20 when nu = 5000); the kappa targets sit in the bulk.
     chain = asl.TwoStateChain(0.4, 0.5)
@@ -140,33 +157,31 @@ def test_blocked_masses_match_the_one_step_table(p01, p10, kappa):
     targets = _kappa_targets(chain, kappa, 10_000)
     want_all = _table_masses(chain, targets)
     assert want_all.min() > 1e-20  # the kappa targets sit in the bulk
-    for N in (2049, 2048 + 3 * B - 1, 2048 + 3 * B + 1, 10_000):
+    for N in (1, B + 1, 3 * B - 1, 10_000):
         got, want = asl._markov_hit_masses(chain, targets[:N]), want_all[:N]
-        assert got[:2048].tobytes() == want[:2048].tobytes(), N
         assert np.max(np.abs(got - want) / want) < RTOL, N
 
 
 @pytest.mark.parametrize("p01, p10", CHAINS)
 def test_expectation_up_to_2048_is_the_one_step_table(p01, p10):
-    # N <= 2048 runs only the one-step loop, so the masses at N = 2048 cover every prefix
+    # the blocks are aligned at nu = 0, so the masses at N = 2048 cover every prefix
     chain = asl.TwoStateChain(p01, p10)
     targets = _kappa_targets(chain, 0.3, 2048)
     m = _table_masses(chain, targets)
-    assert asl._markov_hit_masses(chain, targets).tobytes() == m.tobytes()
+    assert np.max(np.abs(asl._markov_hit_masses(chain, targets) - m) / m) < RTOL
     sigma = math.sqrt(chain.sigma2)
     for N in (2, 3, 100, 2047, 2048):
         nu = np.arange(1, N + 1)
         want = asl._log_average(m[:N] * sigma / np.sqrt(nu), N)[-1][1]
-        assert asl.markov_asllt_expectation(chain, 0.3, N) == want, (p01, p10, N)
+        got = asl.markov_asllt_expectation(chain, 0.3, N)
+        assert abs(got - want) < RTOL * want, (p01, p10, N)
 
 
 def test_trimmed_mass_at_1e5_is_below_1e_25():
     chain, N = asl.TwoStateChain(0.4, 0.5), 100_000
-    P = chain.transition()
-    *_, table = _visit_tables(P, chain.pi, 2048)
-    run = TransferConvolution(P, table, 2048)
+    run = TransferConvolution(chain.transition(), chain.pi)
     targets = _kappa_targets(chain, 0.0, N)
-    for lo in range(2048, N, run.block):
+    for lo in range(0, N, run.block):
         run.advance(targets[lo: lo + run.block])
     assert run.n == N
     assert 0.0 < run.lost_mass <= 1e-25
@@ -176,12 +191,9 @@ def test_trimmed_mass_at_1e5_is_below_1e_25():
 
 def test_transfer_steps_against_the_table():
     chain = asl.TwoStateChain(0.15, 0.85)
-    P = chain.transition()
-    *_, table = _visit_tables(P, chain.pi, 1)
-    run = TransferConvolution(P, table, 1)
-    for nu, want in enumerate(_visit_tables(P, chain.pi, 1000), 1):
-        if nu > 1:
-            run.step()
+    run = TransferConvolution(chain.transition(), chain.pi)
+    for nu, want in enumerate(_one_step_tables(chain, 1000), 1):
+        run.step()
         assert run.n == nu
         # rows near the trimmed edges miss the trimmed rows' share; the bulk does not
         ones = want.sum(axis=1)
@@ -204,14 +216,14 @@ class _ThreeStateSum(RunningConvolution):
         T1 = np.zeros((3, 3, max(f) + 1))
         for t, ft in enumerate(f):
             T1[:, t, ft] = P[:, t]
-        self._start(T1, 0, np.array([pi]), 0, 0.0)
+        self._start(T1, 0, np.array([pi]), 0.0)
 
 
 def _enumerated(P, f, pi, nu):
-    """joint[k, s] = P(S_nu = k, xi_nu = s), summed over all 3^(nu + 1) paths."""
-    paths = np.array(list(itertools.product(range(3), repeat=nu + 1)))
+    """joint[k, s] = P(S_nu = k, xi_nu = s), summed over the S^(nu + 1) paths of S states."""
+    paths = np.array(list(itertools.product(range(len(P)), repeat=nu + 1)))
     mass = pi[paths[:, 0]] * np.prod(P[paths[:, :-1], paths[:, 1:]], axis=1)
-    joint = np.zeros((max(f) * nu + 1, 3))
+    joint = np.zeros((max(f) * nu + 1, len(P)))
     np.add.at(joint, (np.asarray(f)[paths[:, 1:]].sum(axis=1), paths[:, -1]), mass)
     return joint
 
@@ -234,3 +246,22 @@ def test_a_three_state_step_matrix_against_enumeration():
     got = run.advance(targets)
     assert got.tolist() == [w[t].sum() if t < len(w) else 0.0 for w, t in zip(want, targets)]
     assert run.n == 9 and run.probs.tobytes() == want[-1].tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 127, 128, 129, 300])
+def test_hit_masses_across_the_first_block_edges(N):
+    # every mass P{k ones at nu = N}: by enumeration from xi_0 ~ pi up to N = 3, by Gabriel's
+    # formula over the atoms above 1e-20 past it, where the blocks' edges and trims lie
+    chain = asl.TwoStateChain(0.3, 0.6)
+    if N <= 3:
+        ks, rtol = list(range(N + 1)), 1e-13
+        want = _enumerated(chain.transition(), (0, 1), np.array(chain.pi), N).sum(axis=1)
+    else:
+        ks, rtol = _spread(asl.markov_ones_pmf(chain, N), 1e-20).tolist(), 1e-12
+        want = _gabriel_pmf(chain, N, ks)
+    targets = np.zeros(N, dtype=np.int64)
+    got = []
+    for k in ks:
+        targets[-1] = k
+        got.append(asl._markov_hit_masses(chain, targets)[-1])
+    assert np.max(np.abs(np.array(got) - want) / want) < rtol, N
